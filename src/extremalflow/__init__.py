@@ -36,7 +36,6 @@ from .solutions import (
     initial_curve,
 )
 from .analysis import (
-    EnergyRecord,
     SgnWord,
     Unresolvable,
     dissipation_estimate,
@@ -59,8 +58,6 @@ from .evolvers import (
     advance_graph,
     advance_polar,
     evolve,
-    step_graph,
-    step_polar,
     switch_chart,
 )
 from .classifier import (

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .geometry import (
 __all__ = [
     "Unresolvable",
     "SgnWord",
-    "EnergyRecord",
     "GapProfile",
     "gap_profile",
     "word_from_gap",
@@ -316,24 +316,16 @@ def semi_order(c1: SampledCurve, c2: SampledCurve, tol: float | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EnergyRecord:
-    """Length/area energy snapshot along a run.
+class Energy(NamedTuple):
+    """Length, enclosed area and ``E = L - A*S`` of a curve.
 
-    ``E = L - A*S`` decreases along any run confined to {y >= 0}; the
-    decrease rate is the curvature dissipation integral.
+    ``E`` decreases along any run confined to {y >= 0}; the decrease rate
+    is the curvature dissipation integral.
     """
 
-    t: float
     L: float
     S: float
     E: float
-    J_graph: float = float("nan")
-    dissipation: float = float("nan")
-
-    def __post_init__(self):
-        if np.isfinite(self.dissipation) and self.dissipation < 0:
-            raise ValueError("dissipation must be non-negative")
 
 
 def graph_length_functional(g) -> float:
@@ -363,7 +355,7 @@ def lyapunov_graph(g) -> float:
     return graph_length_functional(g) - g.params.A * area
 
 
-def energy(c: SampledCurve, A: float, t: float = float("nan")) -> EnergyRecord:
+def energy(c: SampledCurve, A: float) -> Energy:
     """Length, enclosed area, and the energy E = L - A*S of a curve.
 
     The curve must lie in {y >= -1e-9}; otherwise the enclosed area (and
@@ -371,7 +363,7 @@ def energy(c: SampledCurve, A: float, t: float = float("nan")) -> EnergyRecord:
     """
     L = length(c)
     S = enclosed_area(c)
-    return EnergyRecord(t=t, L=L, S=S, E=L - A * S)
+    return Energy(L, S, L - A * S)
 
 
 def dissipation_estimate(c: SampledCurve, A: float) -> float:

@@ -11,8 +11,6 @@ certified member of each.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -38,10 +36,7 @@ __all__ = [
     "critical_run",
     "closest_upper_approach",
     "upper_dwell_time",
-    "worker_count",
 ]
-
-THREADS_ENV = "EXTREMALFLOW_THREADS"
 
 
 class Category(Enum):
@@ -93,49 +88,28 @@ class SweepRow:
     final_sgn: str | None
 
 
-def worker_count() -> int:
-    """Worker cap for concurrent sweeps (EXTREMALFLOW_THREADS, default 2)."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(2, os.cpu_count() or 1)
-    return n
-
-
 def sweep(
     template: InitialFamily,
     sigmas,
     ctl: StepControl,
     tols: ClassifierTolerances,
 ) -> list[SweepRow]:
-    """Classify each amplitude independently and audit the ordering.
+    """Classify each amplitude in turn and audit the ordering.
 
-    Runs are embarrassingly parallel; results are keyed by amplitude so
-    the table is independent of scheduling.  Any lower-convergence above
-    an escape contradicts the comparison principle and raises
-    ``MonotonicityError``.
+    Any lower-convergence above an escape contradicts the comparison
+    principle and raises ``MonotonicityError``.
     """
-    sigmas = list(sigmas)
-    if not sigmas:
-        return []
-
-    def one(s: float) -> SweepRow:
+    rows = []
+    for s in sigmas:
         cat, traj = classify(template.with_sigma(s), ctl, tols)
-        return SweepRow(
-            sigma=s,
-            category=cat,
-            t_event=traj.event.t,
-            final_sgn=traj.diagnostics[-1].sgn_upper,
+        rows.append(
+            SweepRow(
+                sigma=s,
+                category=cat,
+                t_event=traj.event.t,
+                final_sgn=traj.diagnostics[-1].sgn_upper,
+            )
         )
-
-    if len(sigmas) > 1:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            rows = list(pool.map(one, sigmas))
-    else:
-        rows = [one(sigmas[0])]
 
     escapes = [r.sigma for r in rows if r.category is Category.ESCAPE]
     lowers = [r.sigma for r in rows if r.category is Category.CONVERGE_LOWER]

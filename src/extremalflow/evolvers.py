@@ -7,11 +7,14 @@ whichever chart currently represents the curve:
 * polar chart:  rho_t = rho_tt / W^2 - (2 rho_t^2 + rho^2) / (rho W^2)
                 + (A / rho) sqrt(W^2),   W^2 = rho^2 + rho_t^2, rho(0,pi) = a
 
-Both schemes share the same central-difference stencils, so the discrete
-equilibria coincide.  The default stepping is explicit Euler under a CFL
-cap; a semi-implicit variant (diffusion treated implicitly with frozen
-coefficients) is available for long runs where the explicit parabolic
-step restriction is the bottleneck.
+Both are s_t = s_qq / M + F, stepped by one loop, ``_advance``, that owns
+the central-difference stencils, explicit Euler under a CFL cap, and a
+semi-implicit variant (diffusion treated implicitly with frozen
+coefficients) for long runs where the explicit parabolic step
+restriction is the bottleneck.  A chart object supplies what differs:
+spacing and pinned value, M and F, the step-size rule, the guards, the
+energy and the diagnostics.  Shared stencils make the discrete
+equilibria coincide.
 
 ``evolve`` drives a full run from a family curve: it switches charts when
 the graph representation steepens past a threshold (and back when the
@@ -43,12 +46,17 @@ from .geometry import (
     PolarProfile,
     ProblemParams,
     SampledCurve,
+    _polyline_length,
+    _shoelace_area,
+    enclosed_area,
     graph_to_sampled,
     is_graph_representable,
+    length,
     polar_to_sampled,
 )
 from .solutions import (
     InitialFamily,
+    _upper_heights,
     gamma_lower,
     gamma_lower_polar,
     gamma_upper,
@@ -64,9 +72,6 @@ __all__ = [
     "DiagnosticRecord",
     "Trajectory",
     "graph_flow_rhs",
-    "polar_flow_rhs",
-    "step_graph",
-    "step_polar",
     "advance_graph",
     "advance_polar",
     "switch_chart",
@@ -272,233 +277,294 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# spatial operators
-# ---------------------------------------------------------------------------
-
-
-def graph_flow_rhs(u: np.ndarray, dx: float, A: float) -> np.ndarray:
-    """Interior right-hand side of the graph-chart flow (central differences)."""
-    ux = (u[2:] - u[:-2]) / (2.0 * dx)
-    uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-    one = 1.0 + ux**2
-    return uxx / one + A * np.sqrt(one)
-
-
-def polar_flow_rhs(rho: np.ndarray, dtheta: float, A: float) -> np.ndarray:
-    """Interior right-hand side of the polar-chart flow (central differences)."""
-    rt = (rho[2:] - rho[:-2]) / (2.0 * dtheta)
-    rtt = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / dtheta**2
-    ri = rho[1:-1]
-    w2 = ri**2 + rt**2
-    return rtt / w2 - (2.0 * rt**2 + ri**2) / (ri * w2) + A * np.sqrt(w2) / ri
-
-
-# ---------------------------------------------------------------------------
-# single explicit steps (public operations)
-# ---------------------------------------------------------------------------
-
-
-def step_graph(g: GraphProfile, ctl: StepControl) -> GraphProfile:
-    """One explicit Euler step of the graph-chart flow; endpoints stay pinned."""
-    u = g.u
-    ux_max = np.max(np.abs(u[2:] - u[:-2])) / (2.0 * ctl.dx)
-    if np.max(np.abs(u)) > BLOWUP_LIMIT or ux_max > BLOWUP_LIMIT:
-        raise BlowupError("graph profile out of range")
-    dt = min(ctl.dt, ctl.cfl * ctl.dx**2)
-    un = u.copy()
-    un[1:-1] += dt * graph_flow_rhs(u, g.params.dx, g.params.A)
-    return GraphProfile(g.params, un)
-
-
-def step_polar(p: PolarProfile, ctl: StepControl) -> PolarProfile:
-    """One explicit Euler step of the polar-chart flow; boundary radii stay a.
-
-    The step is clipped by the metric-weighted parabolic bound
-    dt <= cfl * dtheta^2 * min(rho^2 + rho_theta^2).
-    """
-    r = p.rho
-    if np.min(r) <= ORIGIN_LIMIT:
-        raise BlowupError("polar profile collapsed toward the origin")
-    if np.max(r) >= BLOWUP_LIMIT:
-        raise BlowupError("polar profile out of range")
-    dth = p.params.dtheta
-    rt = (r[2:] - r[:-2]) / (2.0 * dth)
-    w2min = float(np.min(r[1:-1] ** 2 + rt**2))
-    dt = min(ctl.dt, ctl.cfl * dth**2 * w2min)
-    rn = r.copy()
-    rn[1:-1] += dt * polar_flow_rhs(r, dth, p.params.A)
-    return PolarProfile(p.params, rn)
-
-
-# ---------------------------------------------------------------------------
-# chunked advancement
+# the two charts
 # ---------------------------------------------------------------------------
 
 
 class _EnergyTracker:
-    """Tracks E = L - A*S per step and its largest single-step increase.
+    """Largest single-step rise of E = L - A*S along a run.
 
     Only states confined to {y >= -1e-9} participate; a chart switch or an
-    excursion below the axis re-baselines the tracker.
+    excursion below the axis (an energy of None) re-baselines the tracker.
     """
 
-    __slots__ = ("A", "prev", "max_rise")
+    __slots__ = ("prev", "max_rise")
 
-    def __init__(self, A: float):
-        self.A = A
-        self.prev = None
-        self.max_rise = float("-inf")
+    def __init__(self):
+        self.prev, self.max_rise = None, float("-inf")
 
     def reset(self):
         self.prev = None
 
     def push(self, E: float | None):
-        if E is None:
-            self.prev = None
-            return
-        if self.prev is not None:
-            rise = E - self.prev
-            if rise > self.max_rise:
-                self.max_rise = rise
+        if E is not None and self.prev is not None:
+            self.max_rise = max(self.max_rise, E - self.prev)
         self.prev = E
 
 
-def _graph_energy(u, dx, A):
-    if np.min(u) < -AXIS_TOL:
-        return None
-    L = float(np.sum(np.sqrt(dx**2 + np.diff(u) ** 2)))
-    S = float(dx * np.sum(u[1:-1]))
-    return L - A * S
+class _GraphChart:
+    """Graph heights u(x), pinned to 0: M = 1 + u_x^2, F = A sqrt(M).
 
-
-def _polar_energy(xs, ys, A):
-    d = np.diff(np.column_stack([xs, ys]), axis=0)
-    L = float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-    S = float(abs(0.5 * np.sum(xs[1:] * ys[:-1] - xs[:-1] * ys[1:])))
-    return L - A * S
-
-
-def _advance_graph(u, dx, A, t, t_end, ctl, tracker=None, abort_slope=None):
-    """Advance the graph state in place until t_end.
-
-    Returns (t, status) with status one of 'ok', 'blown', or 'steep'
-    (the profile exceeded ``abort_slope`` and the caller should hand off
-    to the polar chart).  The explicit scheme steps at the parabolic
-    bound cfl * dx^2 (the graph diffusion coefficient never exceeds 1);
-    the semi-implicit scheme steps at the nominal ctl.dt.  Both respect
-    a displacement cap through stiff transients.
+    The step is ctl.dt, at most cfl * dx^2 in the explicit scheme (the
+    graph diffusion coefficient never exceeds 1), under a displacement
+    cap relative to max |u| (refreshed every 32 steps).  A set
+    ``abort_slope`` stops a steepening profile for a handoff to the polar
+    chart.
     """
-    inv2dx = 1.0 / (2.0 * dx)
-    invdx2 = 1.0 / dx**2
-    explicit = ctl.scheme == "explicit"
-    dt_base = min(ctl.dt, ctl.cfl * dx**2) if explicit else ctl.dt
-    m = len(u) - 2
-    ux = np.empty(m)
-    one = np.empty(m)
-    rhs = np.empty(m)
-    root = np.empty(m)
-    umax = float(np.max(np.abs(u)))
-    k = 0
-    while t < t_end - 1e-14:
-        np.subtract(u[2:], u[:-2], out=ux)
-        ux *= inv2dx
-        np.multiply(ux, ux, out=one)
-        one += 1.0
-        np.subtract(u[2:], u[1:-1], out=rhs)
-        rhs -= u[1:-1]
-        rhs += u[:-2]
-        rhs *= invdx2  # rhs = u_xx
-        rhs /= one
-        np.sqrt(one, out=root)
-        root *= A
-        rhs += root
-        if abort_slope is not None:
+
+    name, pin = "graph", 0.0
+
+    def __init__(self, h, A, params=None, lower=None):
+        self.h, self.A, self.params, self.lower = h, A, params, lower
+        self.inv2h, self.invh2 = 1.0 / (2.0 * h), 1.0 / h**2
+        self.abort_slope = None
+        self.fill_cache = {}
+        if params is not None:
+            self.x = params.x_nodes()
+            self.depth_scale = max(params.center_offset, 0.05 * params.a)
+
+    def prepare(self, ctl: StepControl):
+        explicit = ctl.scheme == "explicit"
+        self.dt_base = min(ctl.dt, ctl.cfl * self.h**2) if explicit else ctl.dt
+        self.s_min = ctl.slope_switch * self.h
+
+    def terms(self, inner, d1, M, F):
+        np.multiply(d1, d1, out=M)
+        M += 1.0
+        np.sqrt(M, out=F)
+        F *= self.A
+
+    def guard(self, u, d1, k):
+        if self.abort_slope is not None:
             # the foot steepening is exponential in time, so the handoff
             # threshold must be watched every step
-            if float(np.max(np.abs(ux))) > abort_slope:
-                return t, "steep"
+            if float(np.abs(d1).max()) > self.abort_slope:
+                return "steep"
             # precursor of the boundary spike: a steep positive foot node
             # catching up with its inward neighbour
-            s_min = ctl.slope_switch * dx
-            if (u[1] > s_min and u[1] > 0.9 * u[2]) or (
-                u[-2] > s_min and u[-2] > 0.9 * u[-3]
-            ):
-                return t, "steep"
+            s_min = self.s_min
+            if (u[1] > s_min and u[1] > 0.9 * u[2]) or (u[-2] > s_min and u[-2] > 0.9 * u[-3]):
+                return "steep"
         if k % 32 == 0:
-            umax = float(np.max(np.abs(u)))
-            if umax > BLOWUP_LIMIT or float(np.max(np.abs(ux))) > BLOWUP_LIMIT:
-                return t, "blown"
+            self.umax = float(np.abs(u).max())
+            if self.umax > BLOWUP_LIMIT or float(np.abs(d1).max()) > BLOWUP_LIMIT:
+                return "blown"
+        return None
+
+    def step_size(self, inner, M, rhs):
+        rmax = float(np.abs(rhs).max()) + 1e-300
+        return min(self.dt_base, STEP_FRACTION * (1.0 + self.umax) / rmax)
+
+    def energy(self, u):
+        if u.min() < -AXIS_TOL:
+            return None
+        L = float(np.sqrt(self.h**2 + np.diff(u) ** 2).sum())
+        return L - self.A * float(self.h * u[1:-1].sum())
+
+    def sample(self, u) -> SampledCurve:
+        return graph_to_sampled(GraphProfile(self.params, u))
+
+    def compare(self, u):
+        """(Lyapunov value, word parameter, gap above the upper equilibrium,
+        distance to the lower one, to the upper one, smallest gap).
+
+        The gap is sampled on a fill grid: a steep profile crosses the
+        equilibrium inside a single cell near the pins and node sampling
+        alone would miss it.  The density needed scales with the wall
+        slope (the sliver depth is set by the equilibrium scale).  The
+        graph chart certifies neither escape nor upper convergence.
+        """
+        params = self.params
+        slope = float(np.max(np.abs(np.diff(u)))) / self.h
+        factor = int(np.clip(np.ceil(2.0 * slope * self.h / self.depth_scale), 16, 256))
+        if factor not in self.fill_cache:
+            xs = np.linspace(-params.a, params.a, factor * (params.grid_n - 1) + 1)[1:-1]
+            self.fill_cache[factor] = (xs, _upper_heights(params, xs))
+        x_fill, upper_fill = self.fill_cache[factor]
+        gap = np.interp(x_fill, self.x, u) - upper_fill
+        dist_lower = float(np.max(np.abs(u - self.lower)))
+        lyap = lyapunov_graph(GraphProfile(params, u))
+        return lyap, x_fill, gap, dist_lower, float("nan"), float("-inf")
+
+    def lost(self, rec) -> bool:
+        return False
+
+    def leave(self, curve, u, ctl, steep=False):
+        """Polar state to switch to, or None to stay.
+
+        At a sample the graph must be steeper than ``ctl.slope_switch`` and
+        the resampling faithful: a very tall narrow profile is star-shaped
+        yet badly under-resolved on the angular grid, so the round-trip
+        reconstruction must reproduce the heights to within a small
+        fraction of the profile scale.  After a ``steep`` abort the graph
+        chart is about to fail and any star-shaped resampling beats none;
+        without one the abort is disabled.
+        """
+        if not steep and float(np.max(np.abs(np.diff(u)))) / self.h <= ctl.slope_switch:
+            return None
+        try:
+            cand = switch_chart(curve, "polar", self.params)
+        except ValueError:
+            if steep:
+                self.abort_slope = None
+            return None
+        if not steep:
+            back = polar_to_sampled(cand)
+            if not is_graph_representable(back):
+                return None
+            err = float(np.max(np.abs(np.interp(self.x, back.x, back.y) - u)))
+            if err > 0.01 * (1.0 + float(np.max(np.abs(u)))):
+                return None
+        return cand.rho.copy()
+
+
+class _PolarChart:
+    """Polar radii rho(theta), pinned to a: M = rho^2 + rho_theta^2 and
+    F = -(2 rho_theta^2 + rho^2) / (rho M) + A sqrt(M) / rho.
+
+    A per-node displacement cap limits the step (steep radial walls move
+    fast in rho without the curve itself moving fast); the explicit scheme
+    adds the metric-weighted bound cfl * dtheta^2 * min(M).  The nominal
+    ctl.dt is sized for the graph chart and caps only the semi-implicit one.
+    """
+
+    name = "polar"
+
+    def __init__(self, h, A, pin, params=None, lower=None, upper=None):
+        self.h, self.A, self.pin = h, A, pin
+        self.params, self.lower, self.upper = params, lower, upper
+        self.inv2h, self.invh2 = 1.0 / (2.0 * h), 1.0 / h**2
+        if params is not None:
+            self.theta = params.theta_nodes()
+            self.cos, self.sin = np.cos(self.theta), np.sin(self.theta)
+
+    def prepare(self, ctl: StepControl):
+        self.explicit = ctl.scheme == "explicit"
+        self.dt_stab, self.dt_max = ctl.cfl * self.h**2, ctl.dt
+
+    def terms(self, inner, d1, M, F):
+        np.multiply(inner, inner, out=M)
+        M += d1 * d1
+        expl = -(2.0 * d1 * d1 + inner * inner) / (inner * M)
+        np.add(expl, self.A * np.sqrt(M) / inner, out=F)
+
+    def guard(self, rho, d1, k):
+        if float(rho.min()) <= ORIGIN_LIMIT or float(rho.max()) >= BLOWUP_LIMIT:
+            return "blown"
+        return None
+
+    def step_size(self, inner, M, rhs):
+        dt = STEP_FRACTION * float((inner / (np.abs(rhs) + 1e-300)).min())
+        if self.explicit:
+            return min(dt, self.dt_stab * float(M.min()))
+        return min(dt, self.dt_max)
+
+    def energy(self, rho):
+        xs, ys = rho * self.cos, rho * self.sin
+        return _polyline_length(xs, ys) - self.A * abs(_shoelace_area(xs, ys))
+
+    def sample(self, rho) -> SampledCurve:
+        return polar_to_sampled(PolarProfile(self.params, rho))
+
+    def compare(self, rho):
+        """As for the graph chart, with words on the nodes themselves (exact
+        radii; fill interpolation would add a chord bias near tangency)."""
+        gap = rho[1:-1] - self.upper[1:-1]
+        dist_lower = float(np.max(np.abs(rho - self.lower)))
+        dist_upper = float(np.max(np.abs(rho - self.upper)))
+        return float("nan"), self.theta[1:-1], gap, dist_lower, dist_upper, float(np.min(gap))
+
+    def lost(self, rec) -> bool:
+        """Endpoint tangent turned outward-horizontal: the chart is failing."""
+        return rec.tangent_y_P <= 0.0 or rec.tangent_y_Q >= 0.0
+
+    def leave(self, curve, rho, ctl, steep=False):
+        """Graph state to switch back to once the curve is a mildly sloped
+        graph again, or None to stay."""
+        if is_graph_representable(curve):
+            d = np.diff(curve.points, axis=0)
+            if float(np.max(np.abs(d[:, 1] / d[:, 0]))) < 0.5 * ctl.slope_switch:
+                return switch_chart(curve, "graph", self.params).u.copy()
+        return None
+
+
+# ---------------------------------------------------------------------------
+# the stepping loop
+# ---------------------------------------------------------------------------
+
+
+def _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs):
+    """Interior right-hand side lap / M + F of either chart, into ``rhs``.
+
+    ``lo``, ``inner`` and ``hi`` are the state without its last two, its
+    first and last, and its first two nodes; ``d1`` receives the first
+    derivative, from which the chart fills M and F.
+    """
+    np.subtract(hi, lo, out=d1)
+    d1 *= chart.inv2h
+    chart.terms(inner, d1, M, F)
+    np.subtract(hi, inner, out=rhs)
+    rhs -= inner
+    rhs += lo
+    rhs *= chart.invh2
+    rhs /= M
+    rhs += F
+
+
+def graph_flow_rhs(u: np.ndarray, dx: float, A: float) -> np.ndarray:
+    """Interior right-hand side of the graph-chart flow, as the stepper computes it."""
+    m = len(u) - 2
+    rhs = np.empty(m)
+    buffers = np.empty(m), np.empty(m), np.empty(m)
+    _flow_rhs(u[:-2], u[1:-1], u[2:], _GraphChart(dx, A), *buffers, rhs)
+    return rhs
+
+
+def _advance(s, chart, t, t_end, ctl, tracker=None):
+    """Advance the state ``s`` of ``chart`` in place until t_end.
+
+    Returns (t, status) with status 'ok', 'blown', or 'steep' (the graph
+    steepened past its abort slope; the caller should hand off to the
+    polar chart).  The semi-implicit scheme treats lap / M implicitly
+    with M frozen and moves the pinned values to the right-hand side.
+    """
+    chart.prepare(ctl)
+    explicit = ctl.scheme == "explicit"
+    lo, inner, hi = s[:-2], s[1:-1], s[2:]  # views: they follow in-place updates
+    m = len(inner)
+    d1, M, F, rhs = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    k = 0
+    while t < t_end - 1e-14:
+        _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs)
+        status = chart.guard(s, d1, k)
+        if status is not None:
+            return t, status
         k += 1
-        rmax = float(np.max(np.abs(rhs))) + 1e-300
-        dt = min(dt_base, STEP_FRACTION * (1.0 + umax) / rmax, t_end - t)
+        dt = min(chart.step_size(inner, M, rhs), t_end - t)
         if explicit:
             rhs *= dt
-            u[1:-1] += rhs
+            inner += rhs
         else:
-            r = (dt * invdx2) / one
+            r = (dt * chart.invh2) / M
             ab = np.zeros((3, m))
             ab[0, 1:] = -r[:-1]  # row i, column i+1
             ab[1, :] = 1.0 + 2.0 * r
             ab[2, :-1] = -r[1:]  # row i, column i-1
-            root *= dt  # dt * A * sqrt(1 + u_x^2)
-            root += u[1:-1]
-            u[1:-1] = solve_banded((1, 1), ab, root)
+            F *= dt  # F becomes the right-hand side inner + dt * F
+            F += inner
+            F[0] += r[0] * chart.pin
+            F[-1] += r[-1] * chart.pin
+            inner[:] = solve_banded((1, 1), ab, F)
         t += dt
         if tracker is not None:
-            tracker.push(_graph_energy(u, dx, A))
-    return t, "ok"
-
-
-def _advance_polar(rho, dth, A, a, t, t_end, ctl, tracker=None, cos_th=None, sin_th=None):
-    """Advance the polar state in place until t_end. Returns (t, status).
-
-    The explicit step obeys the metric-weighted parabolic bound
-    cfl * dtheta^2 * min(rho^2 + rho_theta^2); the polar grid spacing is
-    dtheta, so the nominal ctl.dt (sized for the graph chart) only caps
-    the semi-implicit scheme.
-    """
-    inv2dth = 1.0 / (2.0 * dth)
-    invdth2 = 1.0 / dth**2
-    explicit = ctl.scheme == "explicit"
-    dt_stab = ctl.cfl * dth**2
-    while t < t_end - 1e-14:
-        if float(np.min(rho)) <= ORIGIN_LIMIT or float(np.max(rho)) >= BLOWUP_LIMIT:
-            return t, "blown"
-        rt = (rho[2:] - rho[:-2]) * inv2dth
-        ri = rho[1:-1]
-        w2 = ri * ri + rt * rt
-        root = np.sqrt(w2)
-        expl = -(2.0 * rt * rt + ri * ri) / (ri * w2) + A * root / ri
-        diff = (rho[2:] - 2.0 * ri + rho[:-2]) * invdth2 / w2
-        rhs = diff + expl
-        # per-node displacement cap: steep radial walls move fast in rho
-        # without the curve itself moving fast
-        ratio = float(np.min(ri / (np.abs(rhs) + 1e-300)))
-        dt = min(STEP_FRACTION * ratio, t_end - t)
-        if explicit:
-            dt = min(dt, dt_stab * float(np.min(w2)))
-            rho[1:-1] = ri + dt * rhs
-        else:
-            dt = min(dt, ctl.dt)
-            r = (dt * invdth2) / w2
-            ab = np.zeros((3, len(r)))
-            ab[0, 1:] = -r[:-1]  # row i, column i+1
-            ab[1, :] = 1.0 + 2.0 * r
-            ab[2, :-1] = -r[1:]  # row i, column i-1
-            b = ri + dt * expl
-            b[0] += r[0] * a
-            b[-1] += r[-1] * a
-            rho[1:-1] = solve_banded((1, 1), ab, b)
-        t += dt
-        if tracker is not None and cos_th is not None:
-            tracker.push(_polar_energy(rho * cos_th, rho * sin_th, A))
+            tracker.push(chart.energy(s))
     return t, "ok"
 
 
 def advance_graph(g: GraphProfile, ctl: StepControl, t_end: float) -> GraphProfile:
     """Run the graph-chart flow from t = 0 to t_end and return the profile."""
     u = g.u.copy()
-    _, status = _advance_graph(u, g.params.dx, g.params.A, 0.0, t_end, ctl)
+    _, status = _advance(u, _GraphChart(g.params.dx, g.params.A), 0.0, t_end, ctl)
     if status == "blown":
         raise BlowupError("graph advance blew up")
     return GraphProfile(g.params, u)
@@ -507,7 +573,8 @@ def advance_graph(g: GraphProfile, ctl: StepControl, t_end: float) -> GraphProfi
 def advance_polar(p: PolarProfile, ctl: StepControl, t_end: float) -> PolarProfile:
     """Run the polar-chart flow from t = 0 to t_end and return the profile."""
     rho = p.rho.copy()
-    _, status = _advance_polar(rho, p.params.dtheta, p.params.A, p.params.a, 0.0, t_end, ctl)
+    chart = _PolarChart(p.params.dtheta, p.params.A, p.params.a)
+    _, status = _advance(rho, chart, 0.0, t_end, ctl)
     if status == "blown":
         raise BlowupError("polar advance blew up")
     return PolarProfile(p.params, rho)
@@ -582,11 +649,6 @@ def switch_chart(c: SampledCurve, target: str, params: ProblemParams):
 # ---------------------------------------------------------------------------
 
 
-def _upper_branch_heights(params: ProblemParams, x: np.ndarray) -> np.ndarray:
-    c = params.center_offset
-    return c + np.sqrt(params.radius**2 - x**2)
-
-
 def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances | None = None) -> Trajectory:
     """Evolve a family curve until a classification event fires.
 
@@ -610,176 +672,45 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances | No
     """
     if tols is None:
         tols = ClassifierTolerances(t_max=ctl.t_max)
-    params = fam.params
-    A, a = params.A, params.a
-    dx, dth = params.dx, params.dtheta
-    x_nodes = params.x_nodes()
-    th_nodes = params.theta_nodes()
-    cos_th, sin_th = np.cos(th_nodes), np.sin(th_nodes)
-    u_lower = gamma_lower(params).u
-    rho_lower = gamma_lower_polar(params).rho
-    rho_upper = gamma_upper(params).rho
-    # Graph-chart words against the upper equilibrium are sampled on a
-    # finer fill grid: a steep profile crosses the equilibrium inside a
-    # single cell near the pins and node sampling alone would miss it.
-    # The density needed scales with the wall slope (the sliver depth is
-    # set by the equilibrium scale), so the fill adapts to the state.
-    # Polar-chart words use the nodes themselves (exact radii; fill
-    # interpolation would introduce a chord bias near tangency).
-    depth_scale = max(params.center_offset, 0.05 * a)
-    fill_cache = {}
-
-    def graph_fill(slope: float):
-        factor = int(np.clip(np.ceil(2.0 * slope * dx / depth_scale), 16, 256))
-        if factor not in fill_cache:
-            xs = np.linspace(-a, a, factor * (params.grid_n - 1) + 1)[1:-1]
-            fill_cache[factor] = (xs, _upper_branch_heights(params, xs))
-        return fill_cache[factor]
-
+    params, A = fam.params, fam.params.A
+    graph = _GraphChart(params.dx, A, params, gamma_lower(params).u)
+    graph.abort_slope = _slope_force(ctl, A)
+    polar = _PolarChart(
+        params.dtheta, A, params.a, params, gamma_lower_polar(params).rho, gamma_upper(params).rho
+    )
+    graph.other, polar.other = polar, graph
     horizon = min(ctl.t_max, tols.t_max)
 
-    chart = "graph"
-    u = initial_curve(fam).u.copy()
-    rho = None
-    t = 0.0
-    tracker = _EnergyTracker(A)
+    chart, s, t = graph, initial_curve(fam).u.copy(), 0.0
+    tracker = _EnergyTracker()
     snapshots, diagnostics = [], []
     event = None
-    abort_enabled = True
-
-    def current_curve() -> SampledCurve:
-        if chart == "graph":
-            return graph_to_sampled(GraphProfile(params, u))
-        return polar_to_sampled(PolarProfile(params, rho))
-
     while event is None:
-        curve = current_curve()
-
-        # --- diagnostics at the sample time -------------------------------
-        seg = np.hypot(*np.diff(curve.points, axis=0).T)
-        L = float(np.sum(seg))
-        min_h = float(np.min(curve.y))
-        if min_h >= -AXIS_TOL:
-            S = float(0.5 * np.sum(curve.x[1:] * curve.y[:-1] - curve.x[:-1] * curve.y[1:]))
-            E = L - A * S
-        else:
-            S = float("nan")
-            E = float("nan")
-        lyap = lyapunov_graph(GraphProfile(params, u)) if chart == "graph" else float("nan")
-        dissip = dissipation_estimate(curve, A)
-        tangents = endpoint_tangents(curve)
-        kdev_P, kdev_Q = endpoint_curvature_deviation(curve, A)
-        if chart == "graph":
-            slope_now = float(np.max(np.abs(np.diff(u)))) / dx
-            x_fill, upper_h_fill = graph_fill(slope_now)
-            gap_up = np.interp(x_fill, x_nodes, u) - upper_h_fill
-            word_param = x_fill
-            dist_lower = float(np.max(np.abs(u - u_lower)))
-            dist_upper = float("nan")
-            min_gap_up = float("-inf")
-        else:
-            gap_up = rho[1:-1] - rho_upper[1:-1]
-            word_param = th_nodes[1:-1]
-            dist_lower = float(np.max(np.abs(rho - rho_lower)))
-            dist_upper = float(np.max(np.abs(rho - rho_upper)))
-            min_gap_up = float(np.min(gap_up))
-        try:
-            word = word_from_gap(word_param, gap_up)
-            letters, z = word.letters, word.z
-        except Unresolvable:
-            letters, z = None, None
-
-        diagnostics.append(
-            DiagnosticRecord(
-                t=t,
-                chart=chart,
-                L=L,
-                S=S,
-                E=E,
-                lyapunov=lyap,
-                dissipation=dissip,
-                z_upper=z,
-                sgn_upper=letters,
-                kappa_dev_P=kdev_P,
-                kappa_dev_Q=kdev_Q,
-                tangent_y_P=float(tangents.at_P[1]),
-                tangent_y_Q=float(tangents.at_Q[1]),
-                dist_lower=dist_lower,
-                dist_upper=dist_upper,
-                min_height=min_h,
-            )
-        )
+        curve = chart.sample(s)
+        rec, min_gap_up = _diagnose(chart, s, curve, t)
+        diagnostics.append(rec)
         snapshots.append((t, curve))
-
-        # --- events --------------------------------------------------------
-        if chart == "polar" and letters == "+" and min_gap_up > tols.escape_gap:
-            event = TerminationEvent(EventKind.ESCAPED, t, f"clearance {min_gap_up:.3e}")
-            break
-        if dist_lower < tols.converge and dissip < tols.dissipation:
-            event = TerminationEvent(
-                EventKind.CONVERGED_LOWER, t, f"sup-distance {dist_lower:.3e}"
-            )
-            break
-        if (
-            chart == "polar"
-            and dist_upper < tols.converge
-            and dissip < tols.dissipation
-        ):
-            event = TerminationEvent(
-                EventKind.CONVERGED_UPPER, t, f"sup-distance {dist_upper:.3e}"
-            )
-            break
-        if chart == "polar" and (tangents.at_P[1] <= 0.0 or tangents.at_Q[1] >= 0.0):
-            event = TerminationEvent(
-                EventKind.CHART_LOSS, t, f"last word {letters or '?'}"
-            )
-            break
-        if t >= horizon - 1e-12:
-            event = TerminationEvent(EventKind.HORIZON_REACHED, t, "")
+        event = _decide(chart, rec, min_gap_up, tols, horizon)
+        if event is not None:
             break
 
-        # --- chart management ----------------------------------------------
-        if chart == "graph":
-            slope = float(np.max(np.abs(np.diff(u)))) / dx
-            if slope > ctl.slope_switch:
-                cand = _try_polar_switch(curve, params, u, x_nodes)
-                if cand is not None:
-                    rho = cand
-                    chart = "polar"
-                    tracker.reset()
-        else:
-            if is_graph_representable(curve):
-                d = np.diff(curve.points, axis=0)
-                slope = float(np.max(np.abs(d[:, 1] / d[:, 0])))
-                if slope < 0.5 * ctl.slope_switch:
-                    u = switch_chart(curve, "graph", params).u.copy()
-                    chart = "graph"
-                    tracker.reset()
-
-        # --- advance to the next sample ------------------------------------
+        switched = chart.leave(curve, s, ctl)
+        if switched is not None:
+            chart, s = chart.other, switched
+            tracker.reset()
         t_next = min(t + ctl.sample_interval, horizon)
-        while t < t_next - 1e-12 and event is None:
-            if chart == "graph":
-                abort = _slope_force(ctl, A) if abort_enabled else None
-                t, status = _advance_graph(u, dx, A, t, t_next, ctl, tracker, abort)
-                if status == "steep":
-                    # hand off to the polar chart mid-interval: the graph
-                    # representation fails shortly after this steepness
-                    cand = _try_polar_switch(
-                        current_curve(), params, u, x_nodes, force=True
-                    )
-                    if cand is not None:
-                        rho = cand
-                        chart = "polar"
-                        tracker.reset()
-                    else:
-                        abort_enabled = False
-            else:
-                t, status = _advance_polar(
-                    rho, dth, A, a, t, t_next, ctl, tracker, cos_th, sin_th
-                )
+        while t < t_next - 1e-12:
+            t, status = _advance(s, chart, t, t_next, ctl, tracker)
             if status == "blown":
-                event = TerminationEvent(EventKind.BLOWUP, t, f"in {chart} chart")
+                event = TerminationEvent(EventKind.BLOWUP, t, f"in {chart.name} chart")
+                break
+            if status == "steep":
+                # hand off mid-interval: the graph representation fails
+                # shortly after this steepness
+                switched = chart.leave(chart.sample(s), s, ctl, steep=True)
+                if switched is not None:
+                    chart, s = chart.other, switched
+                    tracker.reset()
 
     return Trajectory(
         params=params,
@@ -791,26 +722,53 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances | No
     )
 
 
-def _try_polar_switch(curve, params, u, x_nodes, force=False):
-    """Polar resampling of a steep graph, accepted only when faithful.
-
-    A very tall narrow profile is star-shaped yet badly under-resolved on
-    the angular grid; switching early would corrupt the state, so the
-    round-trip reconstruction must reproduce the heights to within a
-    small fraction of the profile scale.  With ``force`` the fidelity
-    check is waived: the graph chart is about to fail and any valid
-    star-shaped resampling beats none.
-    """
+def _diagnose(chart, s, curve: SampledCurve, t: float):
+    """Diagnostics of a sample, and its smallest gap above the upper equilibrium."""
+    A = chart.A
+    L = length(curve)
+    min_h = float(np.min(curve.y))
+    S = enclosed_area(curve) if min_h >= -AXIS_TOL else float("nan")
+    tangents = endpoint_tangents(curve)
+    kdev_P, kdev_Q = endpoint_curvature_deviation(curve, A)
+    lyap, param, gap_up, dist_lower, dist_upper, min_gap_up = chart.compare(s)
     try:
-        cand = switch_chart(curve, "polar", params)
-    except ValueError:
-        return None
-    if not force:
-        back = polar_to_sampled(cand)
-        if not is_graph_representable(back):
-            return None
-        h = np.interp(x_nodes, back.x, back.y)
-        err = float(np.max(np.abs(h - u)))
-        if err > 0.01 * (1.0 + float(np.max(np.abs(u)))):
-            return None
-    return cand.rho.copy()
+        word = word_from_gap(param, gap_up)
+        letters, z = word.letters, word.z
+    except Unresolvable:
+        letters, z = None, None
+    rec = DiagnosticRecord(
+        t=t,
+        chart=chart.name,
+        L=L,
+        S=S,
+        E=L - A * S,
+        lyapunov=lyap,
+        dissipation=dissipation_estimate(curve, A),
+        z_upper=z,
+        sgn_upper=letters,
+        kappa_dev_P=kdev_P,
+        kappa_dev_Q=kdev_Q,
+        tangent_y_P=float(tangents.at_P[1]),
+        tangent_y_Q=float(tangents.at_Q[1]),
+        dist_lower=dist_lower,
+        dist_upper=dist_upper,
+        min_height=min_h,
+    )
+    return rec, min_gap_up
+
+
+def _decide(chart, rec: DiagnosticRecord, min_gap_up: float, tols, horizon: float):
+    """The termination event a sample fires, or None."""
+    t = rec.t
+    settled = rec.dissipation < tols.dissipation
+    if rec.sgn_upper == "+" and min_gap_up > tols.escape_gap:
+        return TerminationEvent(EventKind.ESCAPED, t, f"clearance {min_gap_up:.3e}")
+    if rec.dist_lower < tols.converge and settled:
+        return TerminationEvent(EventKind.CONVERGED_LOWER, t, f"sup-distance {rec.dist_lower:.3e}")
+    if rec.dist_upper < tols.converge and settled:
+        return TerminationEvent(EventKind.CONVERGED_UPPER, t, f"sup-distance {rec.dist_upper:.3e}")
+    if chart.lost(rec):
+        return TerminationEvent(EventKind.CHART_LOSS, t, f"last word {rec.sgn_upper or '?'}")
+    if t >= horizon - 1e-12:
+        return TerminationEvent(EventKind.HORIZON_REACHED, t, "")
+    return None

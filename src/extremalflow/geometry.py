@@ -307,10 +307,18 @@ def curvature_polar(p: PolarProfile) -> np.ndarray:
     return (ri**2 + 2.0 * rt**2 - ri * rtt) / w2**1.5
 
 
+def _polyline_length(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.sum(np.hypot(np.diff(x), np.diff(y))))
+
+
+def _shoelace_area(x: np.ndarray, y: np.ndarray) -> float:
+    # the closing segment back along y = 0 contributes nothing
+    return float(0.5 * np.sum(x[1:] * y[:-1] - x[:-1] * y[1:]))
+
+
 def length(c: SampledCurve) -> float:
     """Polyline length (sum of chord lengths)."""
-    d = np.diff(c.points, axis=0)
-    return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
+    return _polyline_length(c.x, c.y)
 
 
 def enclosed_area(c: SampledCurve) -> float:
@@ -322,10 +330,7 @@ def enclosed_area(c: SampledCurve) -> float:
     """
     if np.min(c.y) < -AXIS_TOL:
         raise ValueError("enclosed area undefined: curve dips below the axis")
-    x, y = c.x, c.y
-    # Closing segment Q -> P lies on y = 0 and contributes nothing.
-    s = np.sum(x[1:] * y[:-1] - x[:-1] * y[1:])
-    return float(0.5 * s)
+    return _shoelace_area(c.x, c.y)
 
 
 def _lagrange_derivative_at_zero(s1: float, s2: float, p0, p1, p2):

@@ -24,7 +24,7 @@ from extremalflow import (
     subword,
 )
 from extremalflow.analysis import graph_length_functional
-from extremalflow.evolvers import StepControl, step_graph
+from extremalflow.evolvers import StepControl, advance_graph
 
 from conftest import pinned_curve
 
@@ -242,7 +242,7 @@ def test_lyapunov_monotone_along_graph_steps(params):
     g = initial_curve(InitialFamily(params, sigma=0.5))
     prev = lyapunov_graph(g)
     for _ in range(200):
-        g = step_graph(g, ctl)
+        g = advance_graph(g, ctl, ctl.dt)
         cur = lyapunov_graph(g)
         assert cur <= prev + 1e-8
         prev = cur

@@ -1,4 +1,3 @@
-import os
 from unittest import mock
 
 import pytest
@@ -21,7 +20,6 @@ from extremalflow.classifier import (
     critical_run,
     sweep,
     upper_dwell_time,
-    worker_count,
 )
 
 
@@ -258,12 +256,3 @@ def test_bracket_midpoints_stable_across_grids(tols):
     assert abs(mids[101] - mids[201]) < 0.05
     assert abs(mids[201] - mids[401]) < 0.05
 
-
-def test_worker_count_env():
-    with mock.patch.dict(os.environ, {"EXTREMALFLOW_THREADS": "3"}):
-        assert worker_count() == 3
-    with mock.patch.dict(os.environ, {"EXTREMALFLOW_THREADS": "garbage"}):
-        assert worker_count() >= 1
-    env = {k: v for k, v in os.environ.items() if k != "EXTREMALFLOW_THREADS"}
-    with mock.patch.dict(os.environ, env, clear=True):
-        assert worker_count() >= 1

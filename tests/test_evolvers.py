@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extremalflow import (
     BlowupError,
@@ -21,8 +23,6 @@ from extremalflow import (
     graph_to_sampled,
     initial_curve,
     polar_to_sampled,
-    step_graph,
-    step_polar,
     switch_chart,
 )
 
@@ -56,11 +56,11 @@ def test_step_control_validation(params):
 
 def test_equilibria_are_discrete_fixed_points(params, explicit):
     gl = gamma_lower(params)
-    assert np.max(np.abs(step_graph(gl, explicit).u - gl.u)) < 1e-8
+    assert np.max(np.abs(advance_graph(gl, explicit, explicit.dt).u - gl.u)) < 1e-8
     gu = gamma_upper(params)
-    assert np.max(np.abs(step_polar(gu, explicit).rho - gu.rho)) < 1e-8
+    assert np.max(np.abs(advance_polar(gu, explicit, explicit.dt).rho - gu.rho)) < 1e-8
     glp = gamma_lower_polar(params)
-    assert np.max(np.abs(step_polar(glp, explicit).rho - glp.rho)) < 1e-8
+    assert np.max(np.abs(advance_polar(glp, explicit, explicit.dt).rho - glp.rho)) < 1e-8
 
 
 def test_degenerate_semicircle_stationary():
@@ -69,12 +69,12 @@ def test_degenerate_semicircle_stationary():
         p = ProblemParams(A=1.0, a=1.0, grid_n=201)
     ctl = StepControl.for_params(p)
     prof = PolarProfile(p, np.ones(201))
-    assert np.max(np.abs(step_polar(prof, ctl).rho - prof.rho)) == 0.0
+    assert np.max(np.abs(advance_polar(prof, ctl, ctl.dt).rho - prof.rho)) == 0.0
 
 
 def test_flat_profile_rises_at_driving_speed(params, explicit):
     g = GraphProfile(params, np.zeros(params.grid_n))
-    g1 = step_graph(g, explicit)
+    g1 = advance_graph(g, explicit, explicit.dt)
     assert np.allclose(g1.u[1:-1] / explicit.dt, params.A, atol=1e-13)
     assert g1.u[0] == 0.0 and g1.u[-1] == 0.0
 
@@ -82,7 +82,7 @@ def test_flat_profile_rises_at_driving_speed(params, explicit):
 def test_even_data_stays_even(params, explicit, semi):
     g = initial_curve(InitialFamily(params, sigma=0.7))
     for _ in range(500):
-        g = step_graph(g, explicit)
+        g = advance_graph(g, explicit, explicit.dt)
     assert np.max(np.abs(g.u - g.u[::-1])) < 1e-12
     gs = advance_graph(initial_curve(InitialFamily(params, sigma=0.7)), semi, 1.0)
     assert np.max(np.abs(gs.u - gs.u[::-1])) < 1e-12
@@ -92,21 +92,32 @@ def test_blowup_guards(params, explicit):
     u = np.zeros(params.grid_n)
     u[1:-1] = 2e6
     with pytest.raises(BlowupError):
-        step_graph(GraphProfile(params, u), explicit)
+        advance_graph(GraphProfile(params, u), explicit, explicit.dt)
     rho = np.full(params.grid_n, params.a)
     rho[params.grid_n // 2] = 1e-12
     with pytest.raises(BlowupError):
-        step_polar(PolarProfile(params, rho), explicit)
+        advance_polar(PolarProfile(params, rho), explicit, explicit.dt)
 
 
 # --- sustained advancement -----------------------------------------------------------
 
 
-def test_equilibrium_preservation_short(params, semi):
-    gl = gamma_lower(params)
-    assert np.max(np.abs(advance_graph(gl, semi, 1.0).u - gl.u)) < 1e-3
-    gu = gamma_upper(params)
-    assert np.max(np.abs(advance_polar(gu, semi, 1.0).rho - gu.rho)) < 1e-3
+@pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+@pytest.mark.parametrize(
+    "equilibrium, advance, field",
+    [
+        (gamma_lower, advance_graph, "u"),
+        (gamma_lower_polar, advance_polar, "rho"),
+        (gamma_upper, advance_polar, "rho"),
+    ],
+    ids=["lower-graph", "lower-polar", "upper-polar"],
+)
+def test_equilibrium_preservation_short(params, scheme, equilibrium, advance, field):
+    ctl = StepControl.for_params(params, scheme=scheme)
+    t_end = 1.0 if scheme == "semi_implicit" else 0.1
+    start = equilibrium(params)
+    held = advance(start, ctl, t_end)
+    assert np.max(np.abs(getattr(held, field) - getattr(start, field))) < 1e-3
 
 
 def test_grid_convergence_order():
@@ -129,6 +140,24 @@ def test_switch_chart_round_trip(params):
     polar = switch_chart(cap, "polar", params)
     back = switch_chart(polar_to_sampled(polar), "graph", params)
     assert np.max(np.abs(back.u - gamma_lower(params).u)) < 1e-6
+
+
+@settings(deadline=None)
+@given(
+    sigma=st.floats(min_value=1e-9, max_value=3.0),
+    phi=st.sampled_from(["cos", "parabola"]),
+)
+def test_switch_chart_round_trip_family(sigma, phi):
+    # graph -> polar -> graph loses at most what the angular grid cannot
+    # resolve: nearly flat caps hug the axis and tall ones sweep large
+    # angles per cell.  Measured on grid 201 over sigma in [1e-9, 3]:
+    # error / sigma <= 0.25 and error <= 8.1e-3.  Below about 1e-14 a
+    # family curve is numerically flat and has no polar chart.
+    params = ProblemParams(A=1.0, a=0.5, grid_n=201)
+    g = initial_curve(InitialFamily(params, sigma=sigma, phi=phi))
+    polar = switch_chart(graph_to_sampled(g), "polar", params)
+    back = switch_chart(polar_to_sampled(polar), "graph", params)
+    assert np.max(np.abs(back.u - g.u)) <= min(0.3 * sigma, 1e-2)
 
 
 def test_switch_chart_straight_segment(params):
