@@ -11,10 +11,14 @@ Both are s_t = s_qq / M + F, stepped by one loop, ``_advance``, that owns
 the central-difference stencils, explicit Euler under a CFL cap, and a
 semi-implicit variant (diffusion treated implicitly with frozen
 coefficients) for long runs where the explicit parabolic step
-restriction is the bottleneck.  A chart object supplies what differs:
-spacing and pinned value, M and F, the step-size rule, the guards, the
-energy and the diagnostics.  Shared stencils make the discrete
-equilibria coincide.
+restriction is the bottleneck.  Its tridiagonal system is solved by
+LAPACK ``gtsv`` directly, on buffers the loop reuses across steps.  A
+chart object supplies what differs: spacing and pinned value, M and F,
+the step-size rule, the guards, the energy and the diagnostics.  Shared
+stencils make the discrete equilibria coincide.  The per-step energy
+tracker computes into buffers held by the chart and allocates nothing.
+The guards are written so that NaN fails them: a non-finite state ends
+the advance as 'blown' (the graph chart checks every 32 steps).
 
 ``evolve`` drives a full run from a family curve: it switches charts when
 the graph representation steepens past a threshold (and back when the
@@ -30,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .analysis import (
     Unresolvable,
@@ -322,13 +326,14 @@ class _GraphChart:
         if params is not None:
             self.x = params.x_nodes()
             self.depth_scale = max(params.center_offset, 0.05 * params.a)
+            self.h2, self.seg = h**2, np.empty(params.grid_n - 1)  # energy buffer
 
     def prepare(self, ctl: StepControl):
         explicit = ctl.scheme == "explicit"
         self.dt_base = min(ctl.dt, ctl.cfl * self.h**2) if explicit else ctl.dt
         self.s_min = ctl.slope_switch * self.h
 
-    def terms(self, inner, d1, M, F):
+    def terms(self, inner, d1, M, F, work):
         np.multiply(d1, d1, out=M)
         M += 1.0
         np.sqrt(M, out=F)
@@ -346,8 +351,9 @@ class _GraphChart:
             if (u[1] > s_min and u[1] > 0.9 * u[2]) or (u[-2] > s_min and u[-2] > 0.9 * u[-3]):
                 return "steep"
         if k % 32 == 0:
+            # written so that a NaN fails the test
             self.umax = float(np.abs(u).max())
-            if self.umax > BLOWUP_LIMIT or float(np.abs(d1).max()) > BLOWUP_LIMIT:
+            if not (self.umax <= BLOWUP_LIMIT and float(np.abs(d1).max()) <= BLOWUP_LIMIT):
                 return "blown"
         return None
 
@@ -356,9 +362,14 @@ class _GraphChart:
         return min(self.dt_base, STEP_FRACTION * (1.0 + self.umax) / rmax)
 
     def energy(self, u):
+        """Grid quadrature of L - A*S, or None below the axis; allocates nothing."""
         if u.min() < -AXIS_TOL:
             return None
-        L = float(np.sqrt(self.h**2 + np.diff(u) ** 2).sum())
+        seg = self.seg
+        np.subtract(u[1:], u[:-1], out=seg)
+        seg *= seg
+        seg += self.h2
+        L = float(np.sqrt(seg, out=seg).sum())
         return L - self.A * float(self.h * u[1:-1].sum())
 
     def sample(self, u) -> SampledCurve:
@@ -437,19 +448,33 @@ class _PolarChart:
         if params is not None:
             self.theta = params.theta_nodes()
             self.cos, self.sin = np.cos(self.theta), np.sin(self.theta)
+            n = params.grid_n  # energy buffers
+            self.xs, self.ys = np.empty(n), np.empty(n)
+            self.work = np.empty(n - 1), np.empty(n - 1)
 
     def prepare(self, ctl: StepControl):
         self.explicit = ctl.scheme == "explicit"
         self.dt_stab, self.dt_max = ctl.cfl * self.h**2, ctl.dt
 
-    def terms(self, inner, d1, M, F):
-        np.multiply(inner, inner, out=M)
-        M += d1 * d1
-        expl = -(2.0 * d1 * d1 + inner * inner) / (inner * M)
-        np.add(expl, self.A * np.sqrt(M) / inner, out=F)
+    def terms(self, inner, d1, M, F, work):
+        # F = A sqrt(M) / rho - (2 rho_t^2 + rho^2) / (rho M), in place:
+        # F holds rho^2 and then rho M while ``work`` builds the second term
+        np.multiply(inner, inner, out=F)
+        np.multiply(d1, d1, out=work)
+        np.add(F, work, out=M)
+        np.multiply(d1, 2.0, out=work)
+        work *= d1
+        work += F
+        np.multiply(inner, M, out=F)
+        work /= F
+        np.sqrt(M, out=F)
+        F *= self.A
+        F /= inner
+        F -= work
 
     def guard(self, rho, d1, k):
-        if float(rho.min()) <= ORIGIN_LIMIT or float(rho.max()) >= BLOWUP_LIMIT:
+        # written so that a NaN fails the test
+        if not (ORIGIN_LIMIT < float(rho.min()) and float(rho.max()) < BLOWUP_LIMIT):
             return "blown"
         return None
 
@@ -460,8 +485,11 @@ class _PolarChart:
         return min(dt, self.dt_max)
 
     def energy(self, rho):
-        xs, ys = rho * self.cos, rho * self.sin
-        return _polyline_length(xs, ys) - self.A * abs(_shoelace_area(xs, ys))
+        """Polyline L - A*|S| of the nodes, in the chart's buffers."""
+        xs, ys, work = self.xs, self.ys, self.work
+        np.multiply(rho, self.cos, out=xs)
+        np.multiply(rho, self.sin, out=ys)
+        return _polyline_length(xs, ys, *work) - self.A * abs(_shoelace_area(xs, ys, *work))
 
     def sample(self, rho) -> SampledCurve:
         return polar_to_sampled(PolarProfile(self.params, rho))
@@ -502,7 +530,7 @@ def _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs):
     """
     np.subtract(hi, lo, out=d1)
     d1 *= chart.inv2h
-    chart.terms(inner, d1, M, F)
+    chart.terms(inner, d1, M, F, rhs)  # rhs is free until the stencil below
     np.subtract(hi, inner, out=rhs)
     rhs -= inner
     rhs += lo
@@ -520,6 +548,23 @@ def graph_flow_rhs(u: np.ndarray, dx: float, A: float) -> np.ndarray:
     return rhs
 
 
+def _implicit_solve(r, b, d, dl, du):
+    """Solve (1 + 2 r_i) x_i - r_i (x_(i-1) + x_(i+1)) = b_i by LAPACK gtsv.
+
+    ``d``, ``dl`` and ``du`` are work buffers of lengths m, m-1 and m-1
+    for the three diagonals; ``b`` is overwritten by the solution, which
+    is returned.
+    """
+    np.negative(r[1:], out=dl)  # row i, column i-1
+    np.multiply(r, 2.0, out=d)
+    d += 1.0
+    np.negative(r[:-1], out=du)  # row i, column i+1
+    x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3:]
+    if info:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
+
+
 def _advance(s, chart, t, t_end, ctl, tracker=None):
     """Advance the state ``s`` of ``chart`` in place until t_end.
 
@@ -527,12 +572,15 @@ def _advance(s, chart, t, t_end, ctl, tracker=None):
     steepened past its abort slope; the caller should hand off to the
     polar chart).  The semi-implicit scheme treats lap / M implicitly
     with M frozen and moves the pinned values to the right-hand side.
+    Its solve works on buffers allocated once per call.
     """
     chart.prepare(ctl)
     explicit = ctl.scheme == "explicit"
     lo, inner, hi = s[:-2], s[1:-1], s[2:]  # views: they follow in-place updates
     m = len(inner)
     d1, M, F, rhs = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
+    if not explicit:  # r = dt / (h^2 M) and the diagonals of each solve
+        r, d, dl, du = np.empty(m), np.empty(m), np.empty(m - 1), np.empty(m - 1)
     k = 0
     while t < t_end - 1e-14:
         _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs)
@@ -545,16 +593,12 @@ def _advance(s, chart, t, t_end, ctl, tracker=None):
             rhs *= dt
             inner += rhs
         else:
-            r = (dt * chart.invh2) / M
-            ab = np.zeros((3, m))
-            ab[0, 1:] = -r[:-1]  # row i, column i+1
-            ab[1, :] = 1.0 + 2.0 * r
-            ab[2, :-1] = -r[1:]  # row i, column i-1
+            np.divide(dt * chart.invh2, M, out=r)
             F *= dt  # F becomes the right-hand side inner + dt * F
             F += inner
             F[0] += r[0] * chart.pin
             F[-1] += r[-1] * chart.pin
-            inner[:] = solve_banded((1, 1), ab, F)
+            inner[:] = _implicit_solve(r, F, d, dl, du)
         t += dt
         if tracker is not None:
             tracker.push(chart.energy(s))

@@ -307,13 +307,21 @@ def curvature_polar(p: PolarProfile) -> np.ndarray:
     return (ri**2 + 2.0 * rt**2 - ri * rtt) / w2**1.5
 
 
-def _polyline_length(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sum(np.hypot(np.diff(x), np.diff(y))))
+# Both helpers take optional work buffers p, q of length len(x) - 1, so
+# that the per-step energy tracker allocates nothing.
 
 
-def _shoelace_area(x: np.ndarray, y: np.ndarray) -> float:
+def _polyline_length(x: np.ndarray, y: np.ndarray, p=None, q=None) -> float:
+    p = np.subtract(x[1:], x[:-1], out=p)
+    q = np.subtract(y[1:], y[:-1], out=q)
+    return float(np.hypot(p, q, out=p).sum())
+
+
+def _shoelace_area(x: np.ndarray, y: np.ndarray, p=None, q=None) -> float:
     # the closing segment back along y = 0 contributes nothing
-    return float(0.5 * np.sum(x[1:] * y[:-1] - x[:-1] * y[1:]))
+    p = np.multiply(x[1:], y[:-1], out=p)
+    p -= np.multiply(x[:-1], y[1:], out=q)
+    return float(0.5 * p.sum())
 
 
 def length(c: SampledCurve) -> float:

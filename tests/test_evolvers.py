@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from extremalflow import (
     BlowupError,
@@ -25,6 +26,7 @@ from extremalflow import (
     polar_to_sampled,
     switch_chart,
 )
+from extremalflow import evolvers
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,80 @@ def test_blowup_guards(params, explicit):
     rho[params.grid_n // 2] = 1e-12
     with pytest.raises(BlowupError):
         advance_polar(PolarProfile(params, rho), explicit, explicit.dt)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+@pytest.mark.parametrize("chart", ["graph", "polar"])
+def test_nan_state_is_blown(params, scheme, chart):
+    # every comparison with NaN is false, so the guards must be written to fail on it
+    ctl = StepControl.for_params(params, scheme=scheme)
+    if chart == "graph":
+        s, c = gamma_lower(params).u.copy(), evolvers._GraphChart(params.dx, params.A)
+    else:
+        s = gamma_lower_polar(params).rho.copy()
+        c = evolvers._PolarChart(params.dtheta, params.A, params.a)
+    s[params.grid_n // 3] = np.nan
+    t, status = evolvers._advance(s, c, 0.0, 10 * ctl.dt, ctl)
+    assert status == "blown" and np.isfinite(t)
+
+
+def _banded_reference_solve(r, b):
+    # the semi-implicit system in banded storage, solved by scipy's solve_banded
+    m = len(r)
+    ab = np.zeros((3, m))
+    ab[0, 1:] = -r[:-1]
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-1] = -r[1:]
+    return solve_banded((1, 1), ab, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.integers(min_value=3, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    pin=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_implicit_solve_matches_solve_banded(m, seed, pin):
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(1e-6, 50.0, m)
+    b = rng.uniform(-2.0, 2.0, m)
+    b[0] += r[0] * pin
+    b[-1] += r[-1] * pin
+    expected = _banded_reference_solve(r, b)
+    work = np.empty(m), np.empty(m - 1), np.empty(m - 1)
+    x = evolvers._implicit_solve(r, b.copy(), *work)
+    assert np.array_equal(x, expected)
+
+
+def test_implicit_solve_singular():
+    # a zero first pivot with nothing below it to swap in
+    with pytest.raises(np.linalg.LinAlgError):
+        _banded_reference_solve(np.array([-0.5, 0.0, 0.0]), np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        evolvers._implicit_solve(
+            np.array([-0.5, 0.0, 0.0]), np.ones(3), np.empty(3), np.empty(2), np.empty(2)
+        )
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(min_value=8, max_value=200), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_tracker_energy_matches_reference_expressions(n, seed):
+    params = ProblemParams(A=1.0, a=0.5, grid_n=2 * n + 1)
+    rng = np.random.default_rng(seed)
+    A, h = params.A, params.dx
+    polar = evolvers._PolarChart(params.dtheta, A, params.a, params)
+    graph = evolvers._GraphChart(h, A, params)
+    for _ in range(3):  # the buffers carry nothing from one call to the next
+        rho = rng.uniform(0.05, 2.0, params.grid_n)
+        xs, ys = rho * np.cos(params.theta_nodes()), rho * np.sin(params.theta_nodes())
+        L = float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
+        S = float(0.5 * np.sum(xs[1:] * ys[:-1] - xs[:-1] * ys[1:]))
+        assert polar.energy(rho) == L - A * abs(S)
+        u = rng.uniform(0.0, 1.0, params.grid_n) * rng.uniform(0.01, 5.0)
+        expected = float(np.sqrt(h**2 + np.diff(u) ** 2).sum()) - A * float(h * u[1:-1].sum())
+        assert graph.energy(u) == expected
+        u[rng.integers(1, params.grid_n - 1)] = -1e-3
+        assert graph.energy(u) is None
 
 
 # --- sustained advancement -----------------------------------------------------------
