@@ -7,6 +7,11 @@ a single critical amplitude -- convergence to the upper equilibrium
 itself.  The escape and lower-convergence amplitude sets are open
 half-lines, so the critical amplitude is found by bisection between any
 certified member of each.
+
+Runs that do not depend on each other go through ``evolve_batch`` as
+one batch: a sweep evolves its whole amplitude list together, and a
+bisection checks both endpoints in one two-member call.  Every member's
+outcome is bitwise that of its own ``classify``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .evolvers import (
     StepControl,
     Trajectory,
     evolve,
+    evolve_batch,
 )
 from .solutions import InitialFamily
 
@@ -71,13 +77,23 @@ def classify(
     distinction).
     """
     traj = evolve(fam, ctl, tols)
+    return _category(traj), traj
+
+
+def _category(traj: Trajectory) -> Category:
     kind = traj.event.kind
     if kind is EventKind.CHART_LOSS:
         last_word = traj.diagnostics[-1].sgn_upper
-        cat = Category.ESCAPE if last_word == "+" else Category.UNDETERMINED
-    else:
-        cat = _EVENT_TO_CATEGORY[kind]
-    return cat, traj
+        return Category.ESCAPE if last_word == "+" else Category.UNDETERMINED
+    return _EVENT_TO_CATEGORY[kind]
+
+
+def _classify_batch(template: InitialFamily, sigmas, ctl, tols):
+    """Yield (i, category, trajectory) for ``sigmas[i]`` as each member of
+    one batch finishes; a trajectory holds only its last sample."""
+    fams = [template.with_sigma(s) for s in sigmas]
+    for i, traj in evolve_batch(fams, ctl, tols, history=False):
+        yield i, _category(traj), traj
 
 
 @dataclass(frozen=True)
@@ -94,23 +110,29 @@ def sweep(
     ctl: StepControl,
     tols: ClassifierTolerances,
 ) -> list[SweepRow]:
-    """Classify each amplitude in turn and audit the ordering.
+    """Classify the amplitudes as one batch and audit the ordering.
 
-    Any lower-convergence above an escape contradicts the comparison
-    principle and raises ``MonotonicityError``.
+    All amplitudes step together in one ``(K, n)`` state, each exactly as
+    its own ``classify`` would.  A member keeps only its latest sample
+    while it runs and only its row once it has finished.  Rows come back in input order.  Any lower-convergence above
+    an escape contradicts the comparison principle and raises
+    ``MonotonicityError``.
     """
-    rows = []
-    for s in sigmas:
-        cat, traj = classify(template.with_sigma(s), ctl, tols)
-        rows.append(
-            SweepRow(
-                sigma=s,
-                category=cat,
-                t_event=traj.event.t,
-                final_sgn=traj.diagnostics[-1].sgn_upper,
-            )
+    sigmas = list(sigmas)
+    rows = [None] * len(sigmas)
+    for i, cat, traj in _classify_batch(template, sigmas, ctl, tols):
+        rows[i] = SweepRow(
+            sigma=sigmas[i],
+            category=cat,
+            t_event=traj.event.t,
+            final_sgn=traj.diagnostics[-1].sgn_upper,
         )
+    _audit_order(rows)
+    return rows
 
+
+def _audit_order(rows) -> None:
+    """Raise ``MonotonicityError`` if a lower convergence lies above an escape."""
     escapes = [r.sigma for r in rows if r.category is Category.ESCAPE]
     lowers = [r.sigma for r in rows if r.category is Category.CONVERGE_LOWER]
     if escapes and lowers and max(lowers) > min(escapes):
@@ -118,7 +140,6 @@ def sweep(
             f"lower convergence at sigma={max(lowers)} above escape at "
             f"sigma={min(escapes)}"
         )
-    return rows
 
 
 @dataclass(frozen=True)
@@ -207,18 +228,19 @@ def bisect_sigma_star(
 ) -> Bracket:
     """Bisect between a lower-converging and an escaping amplitude.
 
-    The endpoints are verified first; each midpoint then replaces the
-    side its category dictates.  Undetermined midpoints are assigned by
-    the secondary vote on their final sign word and logged as such.
+    The endpoints are verified first, in one two-member batch; each
+    midpoint then replaces the side its category dictates.  Undetermined
+    midpoints are assigned by the secondary vote on their final sign
+    word and logged as such.
     """
     if not lo0 < hi0:
         raise ValueError("need lo0 < hi0")
     if width_tol <= 0:
         raise ValueError("width_tol must be positive")
-    cat_lo, _ = classify(template.with_sigma(lo0), ctl, tols)
+    ends = {i: cat for i, cat, _ in _classify_batch(template, (lo0, hi0), ctl, tols)}
+    cat_lo, cat_hi = ends[0], ends[1]
     if cat_lo is not Category.CONVERGE_LOWER:
         raise ValueError(f"lo0={lo0} classifies as {cat_lo.value}, not ConvergeLower")
-    cat_hi, _ = classify(template.with_sigma(hi0), ctl, tols)
     if cat_hi is not Category.ESCAPE:
         raise ValueError(f"hi0={hi0} classifies as {cat_hi.value}, not Escape")
 

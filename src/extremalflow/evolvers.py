@@ -11,19 +11,36 @@ Both are s_t = s_qq / M + F, stepped by one loop, ``_advance``, that owns
 the central-difference stencils, explicit Euler under a CFL cap, and a
 semi-implicit variant (diffusion treated implicitly with frozen
 coefficients) for long runs where the explicit parabolic step
-restriction is the bottleneck.  Its tridiagonal system is solved by
-LAPACK ``gtsv`` directly, on buffers the loop reuses across steps.  A
-chart object supplies what differs: spacing and pinned value, M and F,
-the step-size rule, the guards, the energy and the diagnostics.  Shared
-stencils make the discrete equilibria coincide.  The per-step energy
-tracker computes into buffers held by the chart and allocates nothing.
-The guards are written so that NaN fails them: a non-finite state ends
-the advance as 'blown' (the graph chart checks every 32 steps).
+restriction is the bottleneck.  A chart object supplies what differs:
+spacing and pinned value, M and F, the step-size rule, the guards, the
+energy and the diagnostics.  Shared stencils make the discrete
+equilibria coincide.
 
-``evolve`` drives a full run from a family curve: it switches charts when
-the graph representation steepens past a threshold (and back when the
-curve flattens), records diagnostics on a fixed sampling cadence, and
-terminates on the first classification event.
+The loop advances a batch: a (K, n) state, one row per member, each row
+with its own time, step size, step count and energy tracker.  A row that
+reaches its end idles outside the batch, which is packed to the rows
+still stepping, so every numpy call is shared by all members in step.
+The K tridiagonal systems of a semi-implicit step go to one LAPACK
+``gtsv`` call as a block-diagonal system with zero coupling entries; the
+matrix is diagonally dominant, so gtsv never swaps rows, a zero
+multiplier adds exactly nothing, and each row's solution is bitwise
+that of its own solve.  Row reductions (max, min, sum along a row) are
+bitwise those of the row alone, so a member of a batch steps exactly as
+it would by itself.  The guards are written so that NaN fails them (the
+graph chart checks every 32 steps); a row whose step size is not a
+positive number is 'blown' before the solve, where it would reach its
+neighbours through the zero coupling.  Buffers are reused across steps.
+
+``evolve_batch`` drives full runs from family curves: every member
+switches charts when its graph representation steepens past a
+threshold (and back when the curve flattens), records diagnostics on a
+fixed sampling cadence, and terminates on its first classification
+event.  Between samples the graph-chart members are advanced together,
+then the polar-chart ones, so that a member handed off mid-interval
+finishes the interval in the polar chart.  ``evolve`` is its
+one-member case; a caller that keeps only outcomes (a sweep) has each
+member keep only its latest sample, so a batch holds K states, not K
+histories.
 """
 
 from __future__ import annotations
@@ -50,8 +67,8 @@ from .geometry import (
     PolarProfile,
     ProblemParams,
     SampledCurve,
-    _polyline_length,
-    _shoelace_area,
+    _chord_lengths,
+    _shoelace_terms,
     enclosed_area,
     graph_to_sampled,
     is_graph_representable,
@@ -80,6 +97,7 @@ __all__ = [
     "advance_polar",
     "switch_chart",
     "evolve",
+    "evolve_batch",
 ]
 
 BLOWUP_LIMIT = 1e6
@@ -87,6 +105,14 @@ ORIGIN_LIMIT = 1e-9
 # Relative single-step displacement cap; guards accuracy through stiff
 # transients without throttling smooth evolution.
 STEP_FRACTION = 0.05
+
+# The reductions of the stepping loop, called as ufunc methods: the same
+# arithmetic as ndarray.max() and friends without their Python wrapper.
+_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
+# The loop's constant operands are 0-d arrays (the charts' as well): a
+# ufunc takes one in about 0.3 us and a Python float in about 0.45 us,
+# for the same arithmetic.
+_ONE, _TWO, _TINY = np.array(1.0), np.array(2.0), np.array(1e-300)
 
 
 def _slope_force(ctl: StepControl, A: float) -> float:
@@ -311,66 +337,111 @@ class _GraphChart:
 
     The step is ctl.dt, at most cfl * dx^2 in the explicit scheme (the
     graph diffusion coefficient never exceeds 1), under a displacement
-    cap relative to max |u| (refreshed every 32 steps).  A set
-    ``abort_slope`` stops a steepening profile for a handoff to the polar
-    chart.
+    cap relative to max |u| (refreshed every 32 steps).  A row whose
+    abort flag is set stops once its profile steepens past ``abort_slope``,
+    for a handoff to the polar chart.
+
+    The stepping methods take a (k, n) array of states, one per row;
+    ``rows`` names each row's index in the batch being advanced.
     """
 
     name, pin = "graph", 0.0
 
     def __init__(self, h, A, params=None, lower=None):
         self.h, self.A, self.params, self.lower = h, A, params, lower
-        self.inv2h, self.invh2 = 1.0 / (2.0 * h), 1.0 / h**2
+        self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
+        self.h2, self.A0 = np.array(h**2), np.array(A)
         self.abort_slope = None
         self.fill_cache = {}
+        self._X = None
         if params is not None:
             self.x = params.x_nodes()
             self.depth_scale = max(params.center_offset, 0.05 * params.a)
-            self.h2, self.seg = h**2, np.empty(params.grid_n - 1)  # energy buffer
 
-    def prepare(self, ctl: StepControl):
+    def _bind(self, X):
+        """(Nodes 1.., nodes ..-2, interior, energy buffer, rows) of the
+        batch X, rebuilt only when X changes (a new advance, or a packed
+        batch)."""
+        if X is not self._X:
+            k, n = X.shape
+            self._X = X
+            self._at = X[:, 1:], X[:, :-1], X[:, 1:-1], np.empty((k, n - 1)), list(X)
+        return self._at
+
+    def prepare(self, ctl: StepControl, K: int):
         explicit = ctl.scheme == "explicit"
         self.dt_base = min(ctl.dt, ctl.cfl * self.h**2) if explicit else ctl.dt
         self.s_min = ctl.slope_switch * self.h
+        self.umax = [0.0] * K
 
     def terms(self, inner, d1, M, F, work):
         np.multiply(d1, d1, out=M)
-        M += 1.0
+        M += _ONE
         np.sqrt(M, out=F)
-        F *= self.A
+        F *= self.A0
 
-    def guard(self, u, d1, k):
-        if self.abort_slope is not None:
+    def guard(self, X, d1, k, rows, W, abort):
+        """{row position: 'steep' or 'blown'} for the rows that must stop, or None.
+
+        ``abort`` holds the abort flag of each row of the batch, or is None
+        when no row may stop steep.
+        """
+        hits = None
+        if abort is not None:
             # the foot steepening is exponential in time, so the handoff
             # threshold must be watched every step
-            if float(np.abs(d1).max()) > self.abort_slope:
-                return "steep"
-            # precursor of the boundary spike: a steep positive foot node
-            # catching up with its inward neighbour
-            s_min = self.s_min
-            if (u[1] > s_min and u[1] > 0.9 * u[2]) or (u[-2] > s_min and u[-2] > 0.9 * u[-3]):
-                return "steep"
+            np.abs(d1, out=W)
+            us, s_min = self._bind(X)[4], self.s_min  # the rows of X
+            # cheap screen first: no row too steep, no foot node above s_min
+            near = _max(W, None) > self.abort_slope
+            for u in us:
+                near = near or u[1] > s_min or u[-2] > s_min
+            if near:
+                dmax = _max(W, 1)
+                for i, r in enumerate(rows):
+                    if abort[r] and (dmax[i] > self.abort_slope or self._spike(us[i])):
+                        hits = hits or {}
+                        hits[i] = "steep"
         if k % 32 == 0:
             # written so that a NaN fails the test
-            self.umax = float(np.abs(u).max())
-            if not (self.umax <= BLOWUP_LIMIT and float(np.abs(d1).max()) <= BLOWUP_LIMIT):
-                return "blown"
-        return None
+            umax = _max(np.abs(X), 1).tolist()
+            dmax = _max(np.abs(d1), 1).tolist()
+            for i, r in enumerate(rows):
+                self.umax[r] = umax[i]
+                if not (umax[i] <= BLOWUP_LIMIT and dmax[i] <= BLOWUP_LIMIT):
+                    hits = hits or {}
+                    hits.setdefault(i, "blown")
+        return hits
 
-    def step_size(self, inner, M, rhs):
-        rmax = float(np.abs(rhs).max()) + 1e-300
-        return min(self.dt_base, STEP_FRACTION * (1.0 + self.umax) / rmax)
+    def _spike(self, u) -> bool:
+        """Precursor of the boundary spike: a steep positive foot node
+        catching up with its inward neighbour."""
+        s_min = self.s_min
+        return bool(
+            (u[1] > s_min and u[1] > 0.9 * u[2]) or (u[-2] > s_min and u[-2] > 0.9 * u[-3])
+        )
 
-    def energy(self, u):
-        """Grid quadrature of L - A*S, or None below the axis; allocates nothing."""
-        if u.min() < -AXIS_TOL:
-            return None
-        seg = self.seg
-        np.subtract(u[1:], u[:-1], out=seg)
+    def step_size(self, inner, M, rhs, rows, W):
+        steps = _max(np.abs(rhs, out=W), 1).tolist()
+        umax, dt_base = self.umax, self.dt_base
+        i = 0
+        for r in rows:  # NaN first, so that min() passes it on
+            steps[i] = min(STEP_FRACTION * (1.0 + umax[r]) / (steps[i] + 1e-300), dt_base)
+            i += 1
+        return steps
+
+    def energy(self, X):
+        """Grid quadrature of L - A*S per row, None for a row below the axis;
+        allocates nothing."""
+        right, left, inner, seg, _ = self._bind(X)
+        np.subtract(right, left, out=seg)
         seg *= seg
         seg += self.h2
-        L = float(np.sqrt(seg, out=seg).sum())
-        return L - self.A * float(self.h * u[1:-1].sum())
+        L = _sum(np.sqrt(seg, out=seg), 1).tolist()
+        S = _sum(inner, 1).tolist()
+        low = _min(X, 1).tolist()
+        A, h = self.A, self.h
+        return [None if lo < -AXIS_TOL else l - A * (h * s) for lo, l, s in zip(low, L, S)]
 
     def sample(self, u) -> SampledCurve:
         return graph_to_sampled(GraphProfile(self.params, u))
@@ -409,15 +480,13 @@ class _GraphChart:
         reconstruction must reproduce the heights to within a small
         fraction of the profile scale.  After a ``steep`` abort the graph
         chart is about to fail and any star-shaped resampling beats none;
-        without one the abort is disabled.
+        without one the caller disables the abort.
         """
         if not steep and float(np.max(np.abs(np.diff(u)))) / self.h <= ctl.slope_switch:
             return None
         try:
             cand = switch_chart(curve, "polar", self.params)
         except ValueError:
-            if steep:
-                self.abort_slope = None
             return None
         if not steep:
             back = polar_to_sampled(cand)
@@ -437,6 +506,7 @@ class _PolarChart:
     fast in rho without the curve itself moving fast); the explicit scheme
     adds the metric-weighted bound cfl * dtheta^2 * min(M).  The nominal
     ctl.dt is sized for the graph chart and caps only the semi-implicit one.
+    The stepping methods work on (k, n) arrays as in the graph chart.
     """
 
     name = "polar"
@@ -444,52 +514,77 @@ class _PolarChart:
     def __init__(self, h, A, pin, params=None, lower=None, upper=None):
         self.h, self.A, self.pin = h, A, pin
         self.params, self.lower, self.upper = params, lower, upper
-        self.inv2h, self.invh2 = 1.0 / (2.0 * h), 1.0 / h**2
+        self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
+        self.A0 = np.array(A)
+        self._k = None
         if params is not None:
             self.theta = params.theta_nodes()
             self.cos, self.sin = np.cos(self.theta), np.sin(self.theta)
-            n = params.grid_n  # energy buffers
-            self.xs, self.ys = np.empty(n), np.empty(n)
-            self.work = np.empty(n - 1), np.empty(n - 1)
 
-    def prepare(self, ctl: StepControl):
+    def _buffers(self, k):
+        """cos and sin tiled to k rows (a broadcast costs more) and the
+        energy buffers for k rows, rebuilt only when k changes."""
+        if k != self._k:
+            n = len(self.cos)
+            self._k = k
+            self._at = (
+                np.tile(self.cos, (k, 1)), np.tile(self.sin, (k, 1)),
+                np.empty((k, n)), np.empty((k, n)), np.empty((2, k, n - 1)), np.empty((k, n - 1)),
+            )
+        return self._at
+
+    def prepare(self, ctl: StepControl, K: int):
         self.explicit = ctl.scheme == "explicit"
         self.dt_stab, self.dt_max = ctl.cfl * self.h**2, ctl.dt
 
     def terms(self, inner, d1, M, F, work):
         # F = A sqrt(M) / rho - (2 rho_t^2 + rho^2) / (rho M), in place:
         # F holds rho^2 and then rho M while ``work`` builds the second term
+        # (doubling is exact, so 2 * (rho_t * rho_t) is (2 rho_t) * rho_t)
         np.multiply(inner, inner, out=F)
         np.multiply(d1, d1, out=work)
         np.add(F, work, out=M)
-        np.multiply(d1, 2.0, out=work)
-        work *= d1
+        work *= _TWO
         work += F
         np.multiply(inner, M, out=F)
         work /= F
         np.sqrt(M, out=F)
-        F *= self.A
+        F *= self.A0
         F /= inner
         F -= work
 
-    def guard(self, rho, d1, k):
+    def guard(self, X, d1, k, rows, W, abort):
         # written so that a NaN fails the test
-        if not (ORIGIN_LIMIT < float(rho.min()) and float(rho.max()) < BLOWUP_LIMIT):
-            return "blown"
-        return None
+        if ORIGIN_LIMIT < _min(X, None) and _max(X, None) < BLOWUP_LIMIT:
+            return None
+        low, high = _min(X, 1), _max(X, 1)
+        return {
+            i: "blown"
+            for i in range(len(rows))
+            if not (ORIGIN_LIMIT < low[i] and high[i] < BLOWUP_LIMIT)
+        }
 
-    def step_size(self, inner, M, rhs):
-        dt = STEP_FRACTION * float((inner / (np.abs(rhs) + 1e-300)).min())
-        if self.explicit:
-            return min(dt, self.dt_stab * float(M.min()))
-        return min(dt, self.dt_max)
+    def step_size(self, inner, M, rhs, rows, W):
+        np.abs(rhs, out=W)
+        W += _TINY
+        steps = _min(np.divide(inner, W, out=W), 1).tolist()
+        caps = _min(M, 1).tolist() if self.explicit else None
+        for i in range(len(steps)):  # NaN first, so that min() passes it on
+            steps[i] = min(
+                STEP_FRACTION * steps[i], self.dt_stab * caps[i] if caps else self.dt_max
+            )
+        return steps
 
-    def energy(self, rho):
-        """Polyline L - A*|S| of the nodes, in the chart's buffers."""
-        xs, ys, work = self.xs, self.ys, self.work
-        np.multiply(rho, self.cos, out=xs)
-        np.multiply(rho, self.sin, out=ys)
-        return _polyline_length(xs, ys, *work) - self.A * abs(_shoelace_area(xs, ys, *work))
+    def energy(self, X):
+        """Polyline L - A*|S| of the nodes per row, in the chart's buffers."""
+        cos, sin, xs, ys, terms, q = self._buffers(len(X))
+        np.multiply(X, cos, out=xs)
+        np.multiply(X, sin, out=ys)
+        _chord_lengths(xs, ys, terms[0], q)
+        _shoelace_terms(xs, ys, terms[1], q)
+        L, S2 = _sum(terms, -1).tolist()  # both sums in one reduction
+        A = self.A
+        return [l - A * abs(0.5 * s2) for l, s2 in zip(L, S2)]
 
     def sample(self, rho) -> SampledCurve:
         return polar_to_sampled(PolarProfile(self.params, rho))
@@ -548,67 +643,134 @@ def graph_flow_rhs(u: np.ndarray, dx: float, A: float) -> np.ndarray:
     return rhs
 
 
-def _implicit_solve(r, b, d, dl, du):
+def _implicit_solve(r, b, d, dl, du, m):
     """Solve (1 + 2 r_i) x_i - r_i (x_(i-1) + x_(i+1)) = b_i by LAPACK gtsv.
 
-    ``d``, ``dl`` and ``du`` are work buffers of lengths m, m-1 and m-1
-    for the three diagonals; ``b`` is overwritten by the solution, which
-    is returned.
+    ``r`` and ``b`` hold consecutive systems of m unknowns each, solved
+    as one block-diagonal system whose coupling entries are zero.  The
+    matrix is diagonally dominant, so gtsv never swaps rows and a zero
+    multiplier adds exactly nothing: each block's solution is bitwise
+    that of its own solve.  ``d``, ``dl`` and ``du`` are work buffers of
+    the lengths of ``r``, ``r[1:]`` and ``r[1:]`` for the three
+    diagonals; ``b`` is overwritten by the solution, which is returned.
     """
     np.negative(r[1:], out=dl)  # row i, column i-1
-    np.multiply(r, 2.0, out=d)
-    d += 1.0
+    np.multiply(r, _TWO, out=d)
+    d += _ONE
     np.negative(r[:-1], out=du)  # row i, column i+1
+    if m < len(r):
+        dl[m - 1 :: m] = 0.0
+        du[m - 1 :: m] = 0.0
     x, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3:]
     if info:
         raise np.linalg.LinAlgError("singular matrix")
-    return x
+    if x is not b:  # gtsv works in place on a contiguous float64 b
+        b[...] = x
+    return b
 
 
-def _advance(s, chart, t, t_end, ctl, tracker=None):
-    """Advance the state ``s`` of ``chart`` in place until t_end.
+def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
+    """Advance each row of ``S`` in place from t[i] until t_end[i].
 
-    Returns (t, status) with status 'ok', 'blown', or 'steep' (the graph
-    steepened past its abort slope; the caller should hand off to the
-    polar chart).  The semi-implicit scheme treats lap / M implicitly
-    with M frozen and moves the pinned values to the right-hand side.
-    Its solve works on buffers allocated once per call.
+    ``S`` is a (K, n) array with one state of ``chart`` per row, ``t`` and
+    ``t_end`` hold K times, ``trackers`` K energy trackers (or is None)
+    and ``abort`` the K abort flags of a graph batch (or is None): a
+    flagged row stops 'steep'.  Each row takes its own steps of its own
+    size.  A row that has reached its end or stopped leaves the batch,
+    which is then packed into fewer rows, so an idle row takes no step
+    and pushes no energy.
+    Returns (t, status), lists of K entries with status 'ok', 'blown', or
+    'steep' (the graph steepened past its abort slope; the caller should
+    hand off to the polar chart).  A row whose step size is not positive
+    (a non-finite state) is 'blown' before its step, so that it cannot
+    leak into the other rows of the solve.
+
+    The semi-implicit scheme treats lap / M implicitly with M frozen and
+    moves the pinned values to the right-hand side; the rows' systems go
+    to one block-diagonal gtsv call.  Buffers are allocated each time the
+    batch is packed.
     """
-    chart.prepare(ctl)
+    K, n = S.shape
+    m, pin = n - 2, chart.pin
+    chart.prepare(ctl, K)
     explicit = ctl.scheme == "explicit"
-    lo, inner, hi = s[:-2], s[1:-1], s[2:]  # views: they follow in-place updates
-    m = len(inner)
-    d1, M, F, rhs = np.empty(m), np.empty(m), np.empty(m), np.empty(m)
-    if not explicit:  # r = dt / (h^2 M) and the diagonals of each solve
-        r, d, dl, du = np.empty(m), np.empty(m), np.empty(m - 1), np.empty(m - 1)
-    k = 0
-    while t < t_end - 1e-14:
-        _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs)
-        status = chart.guard(s, d1, k)
-        if status is not None:
-            return t, status
-        k += 1
-        dt = min(chart.step_size(inner, M, rhs), t_end - t)
-        if explicit:
-            rhs *= dt
-            inner += rhs
-        else:
-            np.divide(dt * chart.invh2, M, out=r)
-            F *= dt  # F becomes the right-hand side inner + dt * F
-            F += inner
-            F[0] += r[0] * chart.pin
-            F[-1] += r[-1] * chart.pin
-            inner[:] = _implicit_solve(r, F, d, dl, du)
-        t += dt
-        if tracker is not None:
-            tracker.push(chart.energy(s))
-    return t, "ok"
+    invh2, dt1 = float(chart.invh2), np.empty(())
+    if abort is not None and not any(abort):
+        abort = None
+    t, status = list(t), ["ok"] * K
+    rows = [row for row in range(K) if t[row] < t_end[row] - 1e-14]
+    X, k = (S if len(rows) == K else S[rows]), 0
+    while rows:
+        nk = len(rows)
+        times, ends = [t[row] for row in rows], [t_end[row] for row in rows]
+        stops, new = [e - 1e-14 for e in ends], [0.0] * nk
+        tracked = None if trackers is None else [trackers[row] for row in rows]
+        lo, inner, hi = X[:, :-2], X[:, 1:-1], X[:, 2:]  # views: they follow in-place updates
+        d1, M, F, rhs, W, r = np.empty((6, nk, m))  # r = dt / (h^2 M)
+        if not explicit:
+            # row by row: a ufunc on strided end columns costs more than a few rows
+            pinned = [(F[i], r[i]) for i in range(nk)]
+            diagonals = np.empty(nk * m), np.empty(nk * m - 1), np.empty(nk * m - 1)
+            solve = r.reshape(-1), F.reshape(-1), *diagonals, m
+        while True:
+            _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs)
+            leaving = chart.guard(X, d1, k, rows, W, abort)
+            steps = chart.step_size(inner, M, rhs, rows, W)
+            done = None
+            for i in range(nk):
+                dt, rem = steps[i], ends[i] - times[i]
+                if rem < dt:  # min(dt, rem), NaN kept
+                    steps[i] = dt = rem
+                new[i] = ti = times[i] + dt
+                if not ti < stops[i]:
+                    done = done or {}
+                    done[i] = "ok"
+                if not dt > 0.0:  # NaN or zero: a non-finite state
+                    leaving = leaving or {}
+                    leaving.setdefault(i, "blown")
+            if leaving:
+                break
+            k += 1
+            if nk == 1:  # a 0-d array, cheaper than a float or a (1, 1) broadcast
+                dt1[()] = steps[0]
+                dt = dt1
+            else:
+                dt = np.array(steps)[:, None]
+            if explicit:
+                rhs *= dt
+                inner += rhs
+            else:
+                np.divide(dt * invh2, M, out=r)
+                F *= dt  # F becomes the right-hand side inner + dt * F
+                F += inner
+                for Fi, ri in pinned:
+                    Fi[0] += ri[0] * pin
+                    Fi[-1] += ri[-1] * pin
+                _implicit_solve(*solve)  # the solution replaces F
+                inner[...] = F
+            times, new = new, times
+            if tracked is not None:
+                for tracker, E in zip(tracked, chart.energy(X)):
+                    tracker.push(E)
+            if done:
+                leaving = done
+                break
+        for i, row in enumerate(rows):
+            if i in leaving:
+                status[row] = leaving[i]
+            t[row] = times[i]
+        if X is not S:
+            S[rows] = X
+        rows = [row for i, row in enumerate(rows) if i not in leaving]
+        if rows:
+            X = S[rows]
+    return t, status
 
 
 def advance_graph(g: GraphProfile, ctl: StepControl, t_end: float) -> GraphProfile:
     """Run the graph-chart flow from t = 0 to t_end and return the profile."""
     u = g.u.copy()
-    _, status = _advance(u, _GraphChart(g.params.dx, g.params.A), 0.0, t_end, ctl)
+    _, (status,) = _advance(u[None], _GraphChart(g.params.dx, g.params.A), [0.0], [t_end], ctl)
     if status == "blown":
         raise BlowupError("graph advance blew up")
     return GraphProfile(g.params, u)
@@ -618,7 +780,7 @@ def advance_polar(p: PolarProfile, ctl: StepControl, t_end: float) -> PolarProfi
     """Run the polar-chart flow from t = 0 to t_end and return the profile."""
     rho = p.rho.copy()
     chart = _PolarChart(p.params.dtheta, p.params.A, p.params.a)
-    _, status = _advance(rho, chart, 0.0, t_end, ctl)
+    _, (status,) = _advance(rho[None], chart, [0.0], [t_end], ctl)
     if status == "blown":
         raise BlowupError("polar advance blew up")
     return PolarProfile(p.params, rho)
@@ -713,10 +875,80 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances | No
                                in the polar chart before escape,
     * ``HorizonReached``    -- the time horizon min(ctl.t_max, tols.t_max),
     * ``Blowup``            -- state out of representable range.
+
+    This is the one-member case of ``evolve_batch``.
     """
+    ((_, traj),) = evolve_batch([fam], ctl, tols)
+    return traj
+
+
+class _Run:
+    """One member of a batch: its chart, state, time, tracker and records."""
+
+    __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "abort", "tracker",
+                 "history", "snapshots", "diagnostics", "event")
+
+    def __init__(self, index, fam, chart, s, history):
+        self.index, self.fam, self.chart, self.s, self.t = index, fam, chart, s, 0.0
+        self.abort, self.tracker, self.history = True, _EnergyTracker(), history
+        self.snapshots, self.diagnostics, self.event = [], [], None
+
+    def switch(self, s):
+        self.chart, self.s = self.chart.other, s
+        self.tracker.reset()
+
+    def sample(self, ctl, tols, horizon):
+        """Record a sample; then fire an event, or switch charts and set the next sample time."""
+        chart = self.chart
+        curve = chart.sample(self.s)
+        rec, min_gap_up = _diagnose(chart, self.s, curve, self.t)
+        if not self.history:
+            self.diagnostics.clear()
+            self.snapshots.clear()
+        self.diagnostics.append(rec)
+        self.snapshots.append((self.t, curve))
+        self.event = _decide(chart, rec, min_gap_up, tols, horizon)
+        if self.event is None:
+            switched = chart.leave(curve, self.s, ctl)
+            if switched is not None:
+                self.switch(switched)
+            self.t_next = min(self.t + ctl.sample_interval, horizon)
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(
+            params=self.fam.params,
+            sigma=self.fam.sigma,
+            snapshots=self.snapshots,
+            diagnostics=self.diagnostics,
+            event=self.event,
+            max_step_energy_increase=self.tracker.max_rise,
+        )
+
+
+def evolve_batch(
+    fams, ctl: StepControl, tols: ClassifierTolerances | None = None, history: bool = True
+):
+    """Evolve several family curves of one ``ProblemParams`` as one batch.
+
+    Yields ``(i, trajectory)`` for ``fams[i]`` as each member finishes, so
+    that a caller can drop what it does not keep.  With ``history`` false
+    a member keeps only its latest sample (snapshot and diagnostics
+    record), so that a long batch holds K states, not K histories.  Every
+    member follows ``evolve`` exactly, bitwise: all sample on the
+    ``ctl.sample_interval`` cadence, each with its own time, steps, energy
+    tracker and event.
+    Between samples the graph-chart members are advanced as one
+    ``(k, n)`` state and then the polar-chart ones, so that a member
+    handed off mid-interval finishes the interval in the polar chart.
+    """
+    fams = list(fams)
+    if not fams:
+        return
     if tols is None:
         tols = ClassifierTolerances(t_max=ctl.t_max)
-    params, A = fam.params, fam.params.A
+    params, A = fams[0].params, fams[0].params.A
+    if any(f.params != params for f in fams):
+        raise ValueError("the members of a batch must share their ProblemParams")
     graph = _GraphChart(params.dx, A, params, gamma_lower(params).u)
     graph.abort_slope = _slope_force(ctl, A)
     polar = _PolarChart(
@@ -725,45 +957,42 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances | No
     graph.other, polar.other = polar, graph
     horizon = min(ctl.t_max, tols.t_max)
 
-    chart, s, t = graph, initial_curve(fam).u.copy(), 0.0
-    tracker = _EnergyTracker()
-    snapshots, diagnostics = [], []
-    event = None
-    while event is None:
-        curve = chart.sample(s)
-        rec, min_gap_up = _diagnose(chart, s, curve, t)
-        diagnostics.append(rec)
-        snapshots.append((t, curve))
-        event = _decide(chart, rec, min_gap_up, tols, horizon)
-        if event is not None:
-            break
-
-        switched = chart.leave(curve, s, ctl)
-        if switched is not None:
-            chart, s = chart.other, switched
-            tracker.reset()
-        t_next = min(t + ctl.sample_interval, horizon)
-        while t < t_next - 1e-12:
-            t, status = _advance(s, chart, t, t_next, ctl, tracker)
-            if status == "blown":
-                event = TerminationEvent(EventKind.BLOWUP, t, f"in {chart.name} chart")
-                break
-            if status == "steep":
-                # hand off mid-interval: the graph representation fails
-                # shortly after this steepness
-                switched = chart.leave(chart.sample(s), s, ctl, steep=True)
-                if switched is not None:
-                    chart, s = chart.other, switched
-                    tracker.reset()
-
-    return Trajectory(
-        params=params,
-        sigma=fam.sigma,
-        snapshots=snapshots,
-        diagnostics=diagnostics,
-        event=event,
-        max_step_energy_increase=tracker.max_rise,
-    )
+    runs = [
+        _Run(i, fam, graph, initial_curve(fam).u.copy(), history) for i, fam in enumerate(fams)
+    ]
+    while runs:
+        for run in runs:
+            run.sample(ctl, tols, horizon)
+        for chart in (graph, polar):
+            while True:
+                group = [
+                    run for run in runs
+                    if run.event is None and run.chart is chart and run.t < run.t_next - 1e-12
+                ]
+                if not group:
+                    break
+                S = np.array([run.s for run in group])
+                t, status = _advance(
+                    S, chart, [run.t for run in group], [run.t_next for run in group], ctl,
+                    [run.tracker for run in group],
+                    [run.abort for run in group] if chart is graph else None,
+                )
+                for run, s, t_run, st in zip(group, S, t, status):
+                    run.s, run.t = s, t_run
+                    if st == "blown":
+                        run.event = TerminationEvent(EventKind.BLOWUP, t_run, f"in {chart.name} chart")
+                    elif st == "steep":
+                        # hand off mid-interval: the graph representation
+                        # fails shortly after this steepness
+                        switched = chart.leave(chart.sample(s), s, ctl, steep=True)
+                        if switched is None:
+                            run.abort = False
+                        else:
+                            run.switch(switched)
+        for run in runs:
+            if run.event is not None:
+                yield run.index, run.trajectory()
+        runs = [run for run in runs if run.event is None]
 
 
 def _diagnose(chart, s, curve: SampledCurve, t: float):

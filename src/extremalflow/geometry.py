@@ -307,26 +307,29 @@ def curvature_polar(p: PolarProfile) -> np.ndarray:
     return (ri**2 + 2.0 * rt**2 - ri * rtt) / w2**1.5
 
 
-# Both helpers take optional work buffers p, q of length len(x) - 1, so
-# that the per-step energy tracker allocates nothing.
+# The summands of the polyline length and of the shoelace area, for
+# polylines along the last axis (one per row); each sum runs along that
+# axis.  The optional work buffers p, q (the shape of x less one node) let
+# the per-step energy tracker allocate nothing and sum both at once.
 
 
-def _polyline_length(x: np.ndarray, y: np.ndarray, p=None, q=None) -> float:
-    p = np.subtract(x[1:], x[:-1], out=p)
-    q = np.subtract(y[1:], y[:-1], out=q)
-    return float(np.hypot(p, q, out=p).sum())
+def _chord_lengths(x: np.ndarray, y: np.ndarray, p=None, q=None):
+    p = np.subtract(x[..., 1:], x[..., :-1], out=p)
+    q = np.subtract(y[..., 1:], y[..., :-1], out=q)
+    return np.hypot(p, q, out=p)
 
 
-def _shoelace_area(x: np.ndarray, y: np.ndarray, p=None, q=None) -> float:
+def _shoelace_terms(x: np.ndarray, y: np.ndarray, p=None, q=None):
+    """Summands of twice the signed area enclosed with the axis."""
     # the closing segment back along y = 0 contributes nothing
-    p = np.multiply(x[1:], y[:-1], out=p)
-    p -= np.multiply(x[:-1], y[1:], out=q)
-    return float(0.5 * p.sum())
+    p = np.multiply(x[..., 1:], y[..., :-1], out=p)
+    p -= np.multiply(x[..., :-1], y[..., 1:], out=q)
+    return p
 
 
 def length(c: SampledCurve) -> float:
     """Polyline length (sum of chord lengths)."""
-    return _polyline_length(c.x, c.y)
+    return float(_chord_lengths(c.x, c.y).sum())
 
 
 def enclosed_area(c: SampledCurve) -> float:
@@ -338,7 +341,7 @@ def enclosed_area(c: SampledCurve) -> float:
     """
     if np.min(c.y) < -AXIS_TOL:
         raise ValueError("enclosed area undefined: curve dips below the axis")
-    return _shoelace_area(c.x, c.y)
+    return float(0.5 * _shoelace_terms(c.x, c.y).sum())
 
 
 def _lagrange_derivative_at_zero(s1: float, s2: float, p0, p1, p2):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -13,6 +14,8 @@ from extremalflow.classifier import (
     Bracket,
     Category,
     MonotonicityError,
+    SweepRow,
+    _audit_order,
     _undetermined_side,
     bisect_sigma_star,
     classify,
@@ -99,28 +102,38 @@ def test_sweep_spanning_the_threshold_is_ordered(template, ctl, tols):
     ]
 
 
+class _FakeTraj:
+    """Just what the classifier reads off a trajectory."""
+
+    def __init__(self, kind):
+        from extremalflow.evolvers import TerminationEvent
+
+        self.event = TerminationEvent(kind, 1.0)
+        self.diagnostics = [mock.Mock(sgn_upper="-")]
+
+
 def test_sweep_monotonicity_audit(template, ctl, tols):
-    fake = {
-        1.0: Category.ESCAPE,
-        2.0: Category.CONVERGE_LOWER,
-    }
+    from extremalflow.evolvers import EventKind
 
-    class FakeEvent:
-        t = 1.0
+    # an escape at sigma = 1 below a lower convergence at sigma = 2
+    fake = {1.0: EventKind.ESCAPED, 2.0: EventKind.CONVERGED_LOWER}
 
-    class FakeDiag:
-        sgn_upper = "-"
+    def rigged(fams, _ctl, _tols, **_):
+        for i, fam in enumerate(fams):
+            yield i, _FakeTraj(fake[fam.sigma])
 
-    class FakeTraj:
-        event = FakeEvent()
-        diagnostics = [FakeDiag()]
-
-    def rigged(fam, _ctl, _tols):
-        return fake[fam.sigma], FakeTraj()
-
-    with mock.patch("extremalflow.classifier.classify", side_effect=rigged):
+    with mock.patch("extremalflow.classifier.evolve_batch", side_effect=rigged):
         with pytest.raises(MonotonicityError):
             sweep(template, [1.0, 2.0], ctl, tols)
+    rows = [
+        SweepRow(sigma=1.0, category=Category.ESCAPE, t_event=1.0, final_sgn="+"),
+        SweepRow(sigma=2.0, category=Category.CONVERGE_LOWER, t_event=1.0, final_sgn="-"),
+    ]
+    with pytest.raises(MonotonicityError):
+        _audit_order(rows)
+    _audit_order(  # escape above lower convergence is the expected order
+        [replace(r, category=c) for r, c in zip(rows, (Category.CONVERGE_LOWER, Category.ESCAPE))]
+    )
 
 
 def test_bisect_validates_endpoints(template, ctl, tols):
@@ -132,6 +145,30 @@ def test_bisect_validates_endpoints(template, ctl, tols):
         bisect_sigma_star(template, 10.0, 20.0, 0.1, ctl, tols)
     with pytest.raises(ValueError):  # hi0 converges, so it is not an upper endpoint
         bisect_sigma_star(template, 0.0, 0.1, 0.05, ctl, tols)
+
+
+def test_bisect_checks_both_endpoints_in_one_batch(template, ctl, tols):
+    from extremalflow.evolvers import EventKind
+
+    calls = []
+
+    def rigged(*kinds):
+        def fake(fams, _ctl, _tols, **_):
+            calls.append([f.sigma for f in fams])
+            for i in reversed(range(len(kinds))):  # completion order is free
+                yield i, _FakeTraj(kinds[i])
+
+        return fake
+
+    patch = "extremalflow.classifier.evolve_batch"
+    # both endpoints are wrong: lo0 is reported
+    with mock.patch(patch, side_effect=rigged(EventKind.ESCAPED, EventKind.CONVERGED_LOWER)):
+        with pytest.raises(ValueError, match=r"^lo0=1.0 classifies as Escape, not ConvergeLower$"):
+            bisect_sigma_star(template, 1.0, 2.0, 0.1, ctl, tols)
+    with mock.patch(patch, side_effect=rigged(EventKind.CONVERGED_LOWER, EventKind.HORIZON_REACHED)):
+        with pytest.raises(ValueError, match=r"^hi0=2.0 classifies as Undetermined, not Escape$"):
+            bisect_sigma_star(template, 1.0, 2.0, 0.1, ctl, tols)
+    assert calls == [[1.0, 2.0], [1.0, 2.0]]
 
 
 def test_undetermined_vote():

@@ -1,8 +1,9 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
@@ -112,8 +113,34 @@ def test_nan_state_is_blown(params, scheme, chart):
         s = gamma_lower_polar(params).rho.copy()
         c = evolvers._PolarChart(params.dtheta, params.A, params.a)
     s[params.grid_n // 3] = np.nan
-    t, status = evolvers._advance(s, c, 0.0, 10 * ctl.dt, ctl)
+    (t,), (status,) = evolvers._advance(s[None], c, [0.0], [10 * ctl.dt], ctl)
     assert status == "blown" and np.isfinite(t)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
+@pytest.mark.parametrize("chart", ["graph", "polar"])
+def test_nan_row_is_retired_before_its_step(params, scheme, chart):
+    # with the guards off only the step size sees the NaN row; it must leave
+    # the batch before the block solve, which would carry NaN into the rows
+    # beside it through the zero coupling
+    ctl = StepControl.for_params(params, scheme=scheme)
+    if chart == "graph":
+        base, c = gamma_lower(params).u, evolvers._GraphChart(params.dx, params.A)
+    else:
+        base = gamma_lower_polar(params).rho
+        c = evolvers._PolarChart(params.dtheta, params.A, params.a)
+    c.guard = lambda *args: None
+    n = params.grid_n
+    S = base + 1e-3 * np.sin(np.pi * np.arange(n) / (n - 1)) * np.array([[1.0], [2.0], [3.0]])
+    S[1, n // 3] = np.nan
+    t_end = 10 * ctl.dt
+    alone = [S[i : i + 1].copy() for i in (0, 2)]
+    alone_t = [evolvers._advance(a, c, [0.0], [t_end], ctl)[0] for a in alone]
+    t, status = evolvers._advance(S, c, [0.0] * 3, [t_end] * 3, ctl)
+    assert status == ["ok", "blown", "ok"]
+    assert t[1] == 0.0
+    assert [t[0]] == alone_t[0] and [t[2]] == alone_t[1]
+    assert np.array_equal(S[0], alone[0][0]) and np.array_equal(S[2], alone[1][0])
 
 
 def _banded_reference_solve(r, b):
@@ -140,7 +167,7 @@ def test_implicit_solve_matches_solve_banded(m, seed, pin):
     b[-1] += r[-1] * pin
     expected = _banded_reference_solve(r, b)
     work = np.empty(m), np.empty(m - 1), np.empty(m - 1)
-    x = evolvers._implicit_solve(r, b.copy(), *work)
+    x = evolvers._implicit_solve(r, b.copy(), *work, m)
     assert np.array_equal(x, expected)
 
 
@@ -150,8 +177,31 @@ def test_implicit_solve_singular():
         _banded_reference_solve(np.array([-0.5, 0.0, 0.0]), np.ones(3))
     with pytest.raises(np.linalg.LinAlgError):
         evolvers._implicit_solve(
-            np.array([-0.5, 0.0, 0.0]), np.ones(3), np.empty(3), np.empty(2), np.empty(2)
+            np.array([-0.5, 0.0, 0.0]), np.ones(3), np.empty(3), np.empty(2), np.empty(2), 3
         )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=3, max_value=120),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_solve_matches_separate_solves(k, m, seed):
+    # zero coupling entries and no pivoting: each block is solved bitwise
+    # as it would be on its own
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(1e-6, 50.0, (k, m))
+    b = rng.uniform(-2.0, 2.0, (k, m))
+    alone = [
+        evolvers._implicit_solve(
+            r[i], b[i].copy(), np.empty(m), np.empty(m - 1), np.empty(m - 1), m
+        )
+        for i in range(k)
+    ]
+    work = np.empty(k * m), np.empty(k * m - 1), np.empty(k * m - 1)
+    x = evolvers._implicit_solve(r.reshape(-1), b.copy().reshape(-1), *work, m)
+    assert np.array_equal(x.reshape(k, m), np.array(alone))
 
 
 @settings(deadline=None, max_examples=40)
@@ -167,12 +217,12 @@ def test_tracker_energy_matches_reference_expressions(n, seed):
         xs, ys = rho * np.cos(params.theta_nodes()), rho * np.sin(params.theta_nodes())
         L = float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
         S = float(0.5 * np.sum(xs[1:] * ys[:-1] - xs[:-1] * ys[1:]))
-        assert polar.energy(rho) == L - A * abs(S)
+        assert polar.energy(rho[None]) == [L - A * abs(S)]
         u = rng.uniform(0.0, 1.0, params.grid_n) * rng.uniform(0.01, 5.0)
         expected = float(np.sqrt(h**2 + np.diff(u) ** 2).sum()) - A * float(h * u[1:-1].sum())
-        assert graph.energy(u) == expected
+        assert graph.energy(u[None]) == [expected]
         u[rng.integers(1, params.grid_n - 1)] = -1e-3
-        assert graph.energy(u) is None
+        assert graph.energy(u[None]) == [None]
 
 
 # --- sustained advancement -----------------------------------------------------------
@@ -291,6 +341,102 @@ def test_evolve_escape_with_chart_handoff(params_coarse):
     charts = [d.chart for d in traj.diagnostics]
     assert charts[0] == "graph" and charts[-1] == "polar"
     assert traj.diagnostics[-1].sgn_upper == "+"
+
+
+# --- batched evolution ------------------------------------------------------------------
+
+_BATCH_PARAMS = ProblemParams(A=1.0, a=0.5, grid_n=101)
+# a horizon that keeps near-critical draws short
+_BATCH_CTL = StepControl.for_params(_BATCH_PARAMS, scheme="semi_implicit", t_max=6.0)
+_BATCH_TOLS = ClassifierTolerances(t_max=6.0)
+_ALONE = {}
+
+
+def _alone(sigma):
+    """The one-member run of an amplitude (memoized across examples)."""
+    key = sigma.hex()  # keeps -0.0 apart from 0.0
+    if key not in _ALONE:
+        _ALONE[key] = evolve(InitialFamily(_BATCH_PARAMS, sigma=sigma), _BATCH_CTL, _BATCH_TOLS)
+    return _ALONE[key]
+
+
+def _assert_same_run(a, b):
+    assert a.event.kind is b.event.kind and a.event.detail == b.event.detail
+    assert a.event.t == b.event.t
+    assert a.max_step_energy_increase == b.max_step_energy_increase
+    # repr round-trips every float exactly, NaN fields included
+    assert [repr(d) for d in a.diagnostics] == [repr(d) for d in b.diagnostics]
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    assert a.final_curve().points.tobytes() == b.final_curve().points.tobytes()
+
+
+# -1 and 0.1 stay in the graph chart; every sigma >= 2.9 hands off to the
+# polar chart mid-interval on a steep abort; 2.9 also switches back
+_PATHS = [-1.0, 0.1, 2.9, 10.0]
+
+
+@settings(deadline=None, max_examples=8)
+@example(sigmas=[2.9, 10.0, -1.0, 0.1, 2.9])
+@example(sigmas=[0.0, -0.0, 0.1])
+@given(
+    sigmas=st.lists(
+        st.one_of(st.sampled_from(_PATHS), st.floats(min_value=-1.0, max_value=40.0)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_batched_members_match_serial_runs(sigmas):
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
+    done = dict(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
+    assert sorted(done) == list(range(len(sigmas)))
+    for i, s in enumerate(sigmas):
+        _assert_same_run(done[i], _alone(s))
+
+
+def test_batch_without_history_keeps_the_last_sample():
+    sigmas = [0.1, 2.9, 10.0]
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
+    done = dict(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS, history=False))
+    for i, s in enumerate(sigmas):
+        lean, full = done[i], _alone(s)
+        assert len(lean.diagnostics) == len(lean.snapshots) == 1
+        last = replace(full, diagnostics=full.diagnostics[-1:], snapshots=full.snapshots[-1:])
+        _assert_same_run(lean, last)
+
+
+def test_batch_paths_are_reached():
+    charts = {s: "".join(d.chart[0] for d in _alone(s).diagnostics) for s in _PATHS}
+    assert set(charts[-1.0]) == set(charts[0.1]) == {"g"}
+    assert "gp" in charts[2.9] and "pg" in charts[2.9]
+    assert charts[10.0].startswith("gp")
+
+
+def test_blown_member_leaves_the_others_alone(monkeypatch):
+    # one member's state turns NaN after its second sample: it ends as
+    # Blowup while every other member runs exactly as on its own
+    sigmas = [0.1, 0.5, 2.9, 10.0]
+    alone = {s: _alone(s) for s in sigmas}
+    sample = evolvers._Run.sample
+
+    def poisoned(run, *args):
+        sample(run, *args)
+        if run.fam.sigma == 0.5 and len(run.diagnostics) == 2:
+            run.s[len(run.s) // 3] = np.nan
+
+    monkeypatch.setattr(evolvers._Run, "sample", poisoned)
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
+    done = dict(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
+    assert done[1].event.kind is EventKind.BLOWUP and len(done[1].diagnostics) == 2
+    for i in (0, 2, 3):
+        _assert_same_run(done[i], alone[sigmas[i]])
+
+
+def test_batch_requires_one_parameter_set():
+    other = ProblemParams(A=1.0, a=0.4, grid_n=101)
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=0.1), InitialFamily(other, sigma=0.1)]
+    with pytest.raises(ValueError):
+        list(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
+    assert list(evolvers.evolve_batch([], _BATCH_CTL, _BATCH_TOLS)) == []
 
 
 def test_comparison_principle_short_runs(params, semi):
