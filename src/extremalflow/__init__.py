@@ -12,8 +12,6 @@ from .geometry import (
     PolarProfile,
     ProblemParams,
     SampledCurve,
-    curvature_graph,
-    curvature_polar,
     enclosed_area,
     endpoint_tangents,
     graph_to_sampled,
@@ -57,6 +55,8 @@ from .evolvers import (
     Trajectory,
     advance_graph,
     advance_polar,
+    curvature_graph,
+    curvature_polar,
     evolve,
     switch_chart,
 )

@@ -21,11 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
+    AXIS_TOL,
     SampledCurve,
+    _polar_angles,
     endpoint_tangents,
     enclosed_area,
     is_graph_representable,
-    is_star_shaped,
     length,
     polyline_curvature,
 )
@@ -139,15 +140,6 @@ def _heights_at(c: SampledCurve, xs: np.ndarray) -> np.ndarray:
     return y0[seg] + frac * (y1[seg] - y0[seg])
 
 
-def _polar_samples(c: SampledCurve):
-    """(theta, rho) of a star-shaped polyline, theta ascending."""
-    th = np.arctan2(np.maximum(c.y, 0.0), c.x)
-    if not np.all(np.diff(th) < 0.0):
-        raise ValueError("curve is not star-shaped about the origin")
-    rho = np.hypot(c.x, c.y)
-    return th[::-1], rho[::-1]
-
-
 def gap_profile(c1: SampledCurve, c2: SampledCurve) -> GapProfile:
     """Gap of c1 relative to c2 in the best available common chart.
 
@@ -177,9 +169,11 @@ def gap_profile(c1: SampledCurve, c2: SampledCurve) -> GapProfile:
         except ValueError:
             pass
 
-    if is_star_shaped(c1) and is_star_shaped(c2):
-        th1, r1 = _polar_samples(c1)
-        th2, r2 = _polar_samples(c2)
+    th1, th2 = _polar_angles(c1), _polar_angles(c2)
+    if th1 is not None and th2 is not None:
+        # theta ascending
+        th1, r1 = th1[::-1], np.hypot(c1.x, c1.y)[::-1]
+        th2, r2 = th2[::-1], np.hypot(c2.x, c2.y)[::-1]
         fill = np.linspace(0.0, np.pi, 2 * max(len(th1), len(th2)))
         th = np.unique(np.concatenate([th1, th2, fill]))
         th = th[(th > 0.0) & (th < np.pi)]
@@ -358,11 +352,11 @@ def lyapunov_graph(g) -> float:
 def energy(c: SampledCurve, A: float) -> Energy:
     """Length, enclosed area, and the energy E = L - A*S of a curve.
 
-    The curve must lie in {y >= -1e-9}; otherwise the enclosed area (and
-    hence E) is undefined and a ValueError propagates.
+    Below y = -1e-9 the enclosed area, and hence E, is undefined: both
+    read NaN.
     """
     L = length(c)
-    S = enclosed_area(c)
+    S = enclosed_area(c) if np.min(c.y) >= -AXIS_TOL else float("nan")
     return Energy(L, S, L - A * S)
 
 

@@ -235,7 +235,7 @@ def bisect_sigma_star(
     """
     if not lo0 < hi0:
         raise ValueError("need lo0 < hi0")
-    if width_tol <= 0:
+    if not width_tol > 0:  # NaN fails it too
         raise ValueError("width_tol must be positive")
     ends = {i: cat for i, cat, _ in _classify_batch(template, (lo0, hi0), ctl, tols)}
     cat_lo, cat_hi = ends[0], ends[1]

@@ -29,6 +29,8 @@ from .verification import run_all
 
 __all__ = ["RunConfig", "load_config", "main"]
 
+# Every key with its default; a value read from a file takes the type of
+# its default: float, int (grid_n) or str.
 _DEFAULTS = {
     "A": 1.0,
     "a": 0.5,
@@ -39,7 +41,6 @@ _DEFAULTS = {
     "cfl": 0.2,
     "t_max": 50.0,
     "sample_interval": 0.1,
-    "slope_switch": 10.0,
     "converge": 1e-3,
     "escape_gap": 1e-3,
     "dissipation": 1e-4,
@@ -49,23 +50,6 @@ _DEFAULTS = {
     "bisect_hi": "auto",
     "width_tol": 0.01,
 }
-
-_FLOAT_KEYS = {
-    "A",
-    "a",
-    "sigma",
-    "cfl",
-    "t_max",
-    "sample_interval",
-    "slope_switch",
-    "converge",
-    "escape_gap",
-    "dissipation",
-    "bisect_lo",
-    "width_tol",
-}
-_INT_KEYS = {"grid_n"}
-# remaining keys (phi, scheme, out_dir, sigmas, bisect_hi) stay strings
 
 
 class ConfigError(ValueError):
@@ -97,7 +81,6 @@ class RunConfig:
             t_max=self.t_max,
             scheme=self.scheme,
             sample_interval=self.sample_interval,
-            slope_switch=self.slope_switch,
         )
 
     def tolerances(self) -> ClassifierTolerances:
@@ -128,17 +111,14 @@ class RunConfig:
 
 
 def _coerce(key: str, raw: str):
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} expects a number, got {raw!r}") from exc
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} expects an integer, got {raw!r}") from exc
-    return raw
+    kind = type(_DEFAULTS[key])
+    if kind is str:
+        return raw
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        expects = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r} expects {expects}, got {raw!r}") from exc
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:

@@ -14,7 +14,10 @@ coefficients) for long runs where the explicit parabolic step
 restriction is the bottleneck.  A chart object supplies what differs:
 spacing and pinned value, M and F, the step-size rule, the guards, the
 energy and the diagnostics.  Shared stencils make the discrete
-equilibria coincide.
+equilibria coincide.  ``curvature_graph`` and ``curvature_polar`` read
+the curvature off the same stencil: with A = 0 the right-hand side is
+-kappa sqrt(M) in the graph chart and -kappa sqrt(M) / rho in the polar
+chart.
 
 The loop advances a batch: a (K, n) state, one row per member, each row
 with its own time, step size, step count and energy tracker.  A row that
@@ -32,8 +35,8 @@ positive number is 'blown' before the solve, where it would reach its
 neighbours through the zero coupling.  Buffers are reused across steps.
 
 ``evolve_batch`` drives full runs from family curves: every member
-switches charts when its graph representation steepens past a
-threshold (and back when the curve flattens), records diagnostics on a
+switches charts when its graph representation steepens past the fixed
+slope ``SLOPE_SWITCH`` (and back below half of it), records diagnostics on a
 fixed sampling cadence, and terminates on its first classification
 event.  Between samples the graph-chart members are advanced together,
 then the polar-chart ones, so that a member handed off mid-interval
@@ -58,6 +61,7 @@ from .analysis import (
     dissipation_estimate,
     endpoint_curvature_deviation,
     endpoint_tangents,
+    energy,
     lyapunov_graph,
     word_from_gap,
 )
@@ -68,16 +72,15 @@ from .geometry import (
     ProblemParams,
     SampledCurve,
     _chord_lengths,
+    _polar_angles,
     _shoelace_terms,
-    enclosed_area,
     graph_to_sampled,
     is_graph_representable,
-    length,
     polar_to_sampled,
 )
 from .solutions import (
     InitialFamily,
-    _upper_heights,
+    _arc_heights,
     gamma_lower,
     gamma_lower_polar,
     gamma_upper,
@@ -93,6 +96,8 @@ __all__ = [
     "DiagnosticRecord",
     "Trajectory",
     "graph_flow_rhs",
+    "curvature_graph",
+    "curvature_polar",
     "advance_graph",
     "advance_polar",
     "switch_chart",
@@ -105,6 +110,9 @@ ORIGIN_LIMIT = 1e-9
 # Relative single-step displacement cap; guards accuracy through stiff
 # transients without throttling smooth evolution.
 STEP_FRACTION = 0.05
+# Graph slope past which a sample hands the curve to the polar chart; the
+# polar chart hands it back below half of it.
+SLOPE_SWITCH = 10.0
 
 # The reductions of the stepping loop, called as ufunc methods: the same
 # arithmetic as ndarray.max() and friends without their Python wrapper.
@@ -113,17 +121,6 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 # ufunc takes one in about 0.3 us and a Python float in about 0.45 us,
 # for the same arithmetic.
 _ONE, _TWO, _TINY = np.array(1.0), np.array(2.0), np.array(1e-300)
-
-
-def _slope_force(ctl: StepControl, A: float) -> float:
-    """Steepness at which the graph chart is handed off unconditionally.
-
-    Near the pins the discrete forcing A*sqrt(1 + u_x^2) outruns the
-    stabilizing diffusion once the wall slope reaches about
-    sqrt(2 / (A dx)), after which the first interior node spikes past its
-    neighbour and the state folds.  The handoff fires well before that.
-    """
-    return max(2.0 * ctl.slope_switch, 0.5 * np.sqrt(2.0 / (A * ctl.dx)))
 
 
 class BlowupError(RuntimeError):
@@ -146,7 +143,6 @@ class StepControl:
     t_max: float = 50.0
     scheme: str = "explicit"
     sample_interval: float = 0.1
-    slope_switch: float = 10.0
 
     def __post_init__(self):
         if self.scheme not in ("explicit", "semi_implicit"):
@@ -156,8 +152,9 @@ class StepControl:
                 raise ValueError("explicit scheme requires 0 < cfl <= 0.25")
             if self.dt > self.cfl * self.dx**2 * (1.0 + 1e-12):
                 raise ValueError("explicit scheme requires dt <= cfl * dx^2")
-        if self.dt <= 0 or self.t_max <= 0 or self.sample_interval <= 0:
-            raise ValueError("dt, t_max and sample_interval must be positive")
+        # written so that a NaN fails the test
+        if not all(v > 0 for v in (self.dx, self.dt, self.cfl, self.t_max, self.sample_interval)):
+            raise ValueError("dx, dt, cfl, t_max and sample_interval must be positive")
 
     @classmethod
     def for_params(
@@ -168,7 +165,6 @@ class StepControl:
         scheme: str = "explicit",
         dt: float | None = None,
         sample_interval: float = 0.1,
-        slope_switch: float = 10.0,
     ) -> "StepControl":
         dx = params.dx
         if dt is None:
@@ -180,7 +176,6 @@ class StepControl:
             t_max=t_max,
             scheme=scheme,
             sample_interval=sample_interval,
-            slope_switch=slope_switch,
         )
 
 
@@ -200,7 +195,8 @@ class ClassifierTolerances:
     t_max: float = 50.0
 
     def __post_init__(self):
-        if min(self.converge, self.escape_gap, self.dissipation, self.t_max) <= 0:
+        # written so that a NaN fails the test
+        if not all(v > 0 for v in (self.converge, self.escape_gap, self.dissipation, self.t_max)):
             raise ValueError("all tolerances must be positive")
 
 
@@ -339,7 +335,12 @@ class _GraphChart:
     graph diffusion coefficient never exceeds 1), under a displacement
     cap relative to max |u| (refreshed every 32 steps).  A row whose
     abort flag is set stops once its profile steepens past ``abort_slope``,
-    for a handoff to the polar chart.
+    for a handoff to the polar chart: near the pins the discrete forcing
+    A*sqrt(1 + u_x^2) outruns the stabilizing diffusion once the wall
+    slope reaches about sqrt(2 / (A dx)), after which the first interior
+    node spikes past its neighbour and the state folds, so the handoff
+    fires well before that.  Only a chart built with ``params`` (that of
+    a full run) can abort.
 
     The stepping methods take a (k, n) array of states, one per row;
     ``rows`` names each row's index in the batch being advanced.
@@ -351,12 +352,13 @@ class _GraphChart:
         self.h, self.A, self.params, self.lower = h, A, params, lower
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
         self.h2, self.A0 = np.array(h**2), np.array(A)
-        self.abort_slope = None
         self.fill_cache = {}
         self._X = None
         if params is not None:
             self.x = params.x_nodes()
             self.depth_scale = max(params.center_offset, 0.05 * params.a)
+            self.abort_slope = max(2.0 * SLOPE_SWITCH, 0.5 * np.sqrt(2.0 / (A * h)))
+            self.s_min = SLOPE_SWITCH * h
 
     def _bind(self, X):
         """(Nodes 1.., nodes ..-2, interior, energy buffer, rows) of the
@@ -371,7 +373,6 @@ class _GraphChart:
     def prepare(self, ctl: StepControl, K: int):
         explicit = ctl.scheme == "explicit"
         self.dt_base = min(ctl.dt, ctl.cfl * self.h**2) if explicit else ctl.dt
-        self.s_min = ctl.slope_switch * self.h
         self.umax = [0.0] * K
 
     def terms(self, inner, d1, M, F, work):
@@ -461,7 +462,7 @@ class _GraphChart:
         factor = int(np.clip(np.ceil(2.0 * slope * self.h / self.depth_scale), 16, 256))
         if factor not in self.fill_cache:
             xs = np.linspace(-params.a, params.a, factor * (params.grid_n - 1) + 1)[1:-1]
-            self.fill_cache[factor] = (xs, _upper_heights(params, xs))
+            self.fill_cache[factor] = (xs, _arc_heights(params, xs, 1.0))
         x_fill, upper_fill = self.fill_cache[factor]
         gap = np.interp(x_fill, self.x, u) - upper_fill
         dist_lower = float(np.max(np.abs(u - self.lower)))
@@ -471,10 +472,10 @@ class _GraphChart:
     def lost(self, rec) -> bool:
         return False
 
-    def leave(self, curve, u, ctl, steep=False):
+    def leave(self, curve, u, steep=False):
         """Polar state to switch to, or None to stay.
 
-        At a sample the graph must be steeper than ``ctl.slope_switch`` and
+        At a sample the graph must be steeper than ``SLOPE_SWITCH`` and
         the resampling faithful: a very tall narrow profile is star-shaped
         yet badly under-resolved on the angular grid, so the round-trip
         reconstruction must reproduce the heights to within a small
@@ -482,7 +483,7 @@ class _GraphChart:
         chart is about to fail and any star-shaped resampling beats none;
         without one the caller disables the abort.
         """
-        if not steep and float(np.max(np.abs(np.diff(u)))) / self.h <= ctl.slope_switch:
+        if not steep and float(np.max(np.abs(np.diff(u)))) / self.h <= SLOPE_SWITCH:
             return None
         try:
             cand = switch_chart(curve, "polar", self.params)
@@ -601,12 +602,12 @@ class _PolarChart:
         """Endpoint tangent turned outward-horizontal: the chart is failing."""
         return rec.tangent_y_P <= 0.0 or rec.tangent_y_Q >= 0.0
 
-    def leave(self, curve, rho, ctl, steep=False):
+    def leave(self, curve, rho, steep=False):
         """Graph state to switch back to once the curve is a mildly sloped
         graph again, or None to stay."""
         if is_graph_representable(curve):
             d = np.diff(curve.points, axis=0)
-            if float(np.max(np.abs(d[:, 1] / d[:, 0]))) < 0.5 * ctl.slope_switch:
+            if float(np.max(np.abs(d[:, 1] / d[:, 0]))) < 0.5 * SLOPE_SWITCH:
                 return switch_chart(curve, "graph", self.params).u.copy()
         return None
 
@@ -634,13 +635,41 @@ def _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs):
     rhs += F
 
 
+def _rhs(s: np.ndarray, chart):
+    """Interior right-hand side of one state of ``chart`` and its metric M."""
+    m = len(s) - 2
+    d1, M, F, rhs = np.empty((4, m))
+    _flow_rhs(s[:-2], s[1:-1], s[2:], chart, d1, M, F, rhs)
+    return rhs, M
+
+
 def graph_flow_rhs(u: np.ndarray, dx: float, A: float) -> np.ndarray:
     """Interior right-hand side of the graph-chart flow, as the stepper computes it."""
-    m = len(u) - 2
-    rhs = np.empty(m)
-    buffers = np.empty(m), np.empty(m), np.empty(m)
-    _flow_rhs(u[:-2], u[1:-1], u[2:], _GraphChart(dx, A), *buffers, rhs)
-    return rhs
+    return _rhs(u, _GraphChart(dx, A))[0]
+
+
+def curvature_graph(g: GraphProfile) -> np.ndarray:
+    """Signed curvature at the interior nodes of a graph profile.
+
+    The stepper's central differences: with A = 0 the right-hand side is
+    u_xx / M = -kappa sqrt(M).  Concave-down profiles get kappa > 0, so
+    the circular-cap equilibrium carries kappa = +A.
+    """
+    rhs, M = _rhs(g.u, _GraphChart(g.params.dx, 0.0))
+    return -rhs / np.sqrt(M)
+
+
+def curvature_polar(p: PolarProfile) -> np.ndarray:
+    """Signed curvature at the interior nodes of a polar profile.
+
+    The stepper's central differences: with A = 0 the right-hand side is
+    -kappa sqrt(M) / rho, the polar formula (rho^2 + 2 rho_t^2 - rho
+    rho_tt) / M^(3/2) with M = rho^2 + rho_t^2.  Positive for arcs bending
+    around the origin, matching the graph-chart sign on shared curves.
+    """
+    rho = p.rho
+    rhs, M = _rhs(rho, _PolarChart(p.params.dtheta, 0.0, p.params.a))
+    return -rhs * rho[1:-1] / np.sqrt(M)
 
 
 def _implicit_solve(r, b, d, dl, du, m):
@@ -820,7 +849,7 @@ def switch_chart(c: SampledCurve, target: str, params: ProblemParams):
     """
     if target == "graph":
         xs = c.x
-        if not np.all(np.diff(xs) > 0.0):
+        if not is_graph_representable(c):
             raise ValueError("curve is multivalued over x; graph chart unavailable")
         x_t = params.x_nodes()
         if float(np.max(np.diff(xs))) <= 3.0 * params.dx:
@@ -831,11 +860,11 @@ def switch_chart(c: SampledCurve, target: str, params: ProblemParams):
         u[-1] = 0.0
         return GraphProfile(params, u)
     if target == "polar":
-        if np.any(c.y < -1e-12):
-            raise ValueError("curve dips below the axis; polar chart unavailable")
-        th = np.arctan2(np.maximum(c.y, 0.0), c.x)
-        if not np.all(np.diff(th) < 0.0):
-            raise ValueError("curve is not star-shaped; polar chart unavailable")
+        th = _polar_angles(c)
+        if th is None:
+            raise ValueError(
+                "curve dips below the axis or is not star-shaped; polar chart unavailable"
+            )
         th_t = params.theta_nodes()
         th_asc = th[::-1].copy()
         th_asc[0] = 0.0
@@ -859,7 +888,7 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances | No
     """Evolve a family curve until a classification event fires.
 
     Starts in the graph chart.  When the profile steepens past
-    ``ctl.slope_switch`` and the curve has a faithful star-shaped
+    ``SLOPE_SWITCH`` and the curve has a faithful star-shaped
     resampling, evolution hands off to the polar chart; it hands back
     once the curve is again a mildly sloped graph.  Diagnostics are
     recorded every ``ctl.sample_interval`` time units and events are
@@ -909,7 +938,7 @@ class _Run:
         self.snapshots.append((self.t, curve))
         self.event = _decide(chart, rec, min_gap_up, tols, horizon)
         if self.event is None:
-            switched = chart.leave(curve, self.s, ctl)
+            switched = chart.leave(curve, self.s)
             if switched is not None:
                 self.switch(switched)
             self.t_next = min(self.t + ctl.sample_interval, horizon)
@@ -950,7 +979,6 @@ def evolve_batch(
     if any(f.params != params for f in fams):
         raise ValueError("the members of a batch must share their ProblemParams")
     graph = _GraphChart(params.dx, A, params, gamma_lower(params).u)
-    graph.abort_slope = _slope_force(ctl, A)
     polar = _PolarChart(
         params.dtheta, A, params.a, params, gamma_lower_polar(params).rho, gamma_upper(params).rho
     )
@@ -984,7 +1012,7 @@ def evolve_batch(
                     elif st == "steep":
                         # hand off mid-interval: the graph representation
                         # fails shortly after this steepness
-                        switched = chart.leave(chart.sample(s), s, ctl, steep=True)
+                        switched = chart.leave(chart.sample(s), s, steep=True)
                         if switched is None:
                             run.abort = False
                         else:
@@ -998,9 +1026,7 @@ def evolve_batch(
 def _diagnose(chart, s, curve: SampledCurve, t: float):
     """Diagnostics of a sample, and its smallest gap above the upper equilibrium."""
     A = chart.A
-    L = length(curve)
-    min_h = float(np.min(curve.y))
-    S = enclosed_area(curve) if min_h >= -AXIS_TOL else float("nan")
+    L, S, E = energy(curve, A)
     tangents = endpoint_tangents(curve)
     kdev_P, kdev_Q = endpoint_curvature_deviation(curve, A)
     lyap, param, gap_up, dist_lower, dist_upper, min_gap_up = chart.compare(s)
@@ -1014,7 +1040,7 @@ def _diagnose(chart, s, curve: SampledCurve, t: float):
         chart=chart.name,
         L=L,
         S=S,
-        E=L - A * S,
+        E=E,
         lyapunov=lyap,
         dissipation=dissipation_estimate(curve, A),
         z_upper=z,
@@ -1025,7 +1051,7 @@ def _diagnose(chart, s, curve: SampledCurve, t: float):
         tangent_y_Q=float(tangents.at_Q[1]),
         dist_lower=dist_lower,
         dist_upper=dist_upper,
-        min_height=min_h,
+        min_height=float(np.min(curve.y)),
     )
     return rec, min_gap_up
 

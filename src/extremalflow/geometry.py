@@ -27,8 +27,6 @@ __all__ = [
     "EndpointTangents",
     "graph_to_sampled",
     "polar_to_sampled",
-    "curvature_graph",
-    "curvature_polar",
     "length",
     "enclosed_area",
     "endpoint_tangents",
@@ -257,54 +255,27 @@ def is_graph_representable(c: SampledCurve) -> bool:
     return bool(np.all(np.diff(c.x) > 0.0))
 
 
-def is_star_shaped(c: SampledCurve, axis_tol: float = 1e-12) -> bool:
-    """True when the polyline is star-shaped about the origin with y >= 0.
+def _polar_angles(c: SampledCurve):
+    """Polar angles of the vertices, or None when the polyline is not
+    star-shaped about the origin with y >= 0.
 
-    Equivalent to the polar angle decreasing strictly from pi to 0 along
-    the P -> Q order, which makes rho(theta) single-valued.
+    Star-shaped means the angle decreases strictly from pi to 0 along the
+    P -> Q order, which makes rho(theta) single-valued.
     """
-    if np.any(c.y < -axis_tol):
-        return False
+    if np.any(c.y < -1e-12):
+        return None
     th = np.arctan2(np.maximum(c.y, 0.0), c.x)
-    return bool(np.all(np.diff(th) < 0.0))
+    return th if np.all(np.diff(th) < 0.0) else None
+
+
+def is_star_shaped(c: SampledCurve) -> bool:
+    """True when the polyline is star-shaped about the origin with y >= 0."""
+    return _polar_angles(c) is not None
 
 
 # ---------------------------------------------------------------------------
 # differential quantities
 # ---------------------------------------------------------------------------
-
-
-def curvature_graph(g: GraphProfile) -> np.ndarray:
-    """Signed curvature at the interior nodes of a graph profile.
-
-    Second-order central differences; concave-down profiles get kappa > 0,
-    so the circular-cap equilibrium carries kappa = +A.
-    """
-    if g.params.grid_n < 5:
-        raise ValueError("need at least 5 nodes for interior curvature")
-    dx = g.params.dx
-    u = g.u
-    ux = (u[2:] - u[:-2]) / (2.0 * dx)
-    uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-    return -uxx / (1.0 + ux**2) ** 1.5
-
-
-def curvature_polar(p: PolarProfile) -> np.ndarray:
-    """Signed curvature at the interior nodes of a polar profile.
-
-    Standard polar formula (rho^2 + 2 rho_t^2 - rho rho_tt) / W^3 with
-    W^2 = rho^2 + rho_t^2; positive for arcs bending around the origin,
-    matching the graph-chart sign convention on shared curves.
-    """
-    if p.params.grid_n < 5:
-        raise ValueError("need at least 5 nodes for interior curvature")
-    dth = p.params.dtheta
-    r = p.rho
-    rt = (r[2:] - r[:-2]) / (2.0 * dth)
-    rtt = (r[2:] - 2.0 * r[1:-1] + r[:-2]) / dth**2
-    ri = r[1:-1]
-    w2 = ri**2 + rt**2
-    return (ri**2 + 2.0 * rt**2 - ri * rtt) / w2**1.5
 
 
 # The summands of the polyline length and of the shoelace area, for

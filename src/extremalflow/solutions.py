@@ -7,10 +7,14 @@ circular-arc equilibria of radius 1/A:
 * the *upper* equilibrium, the complementary major arc of the circle of
   radius 1/A centered at (0, c),
 
-where c = sqrt(1/A^2 - a^2).  This module also provides the grim-reaper
-traveling wave of the unforced graph flow (used as a moving sub-solution),
-expanding circle barriers, and the one-parameter family of concave initial
-graphs y = sigma * phi(x) whose long-time fate the classifier decides.
+where c = sqrt(1/A^2 - a^2).  Both come from one circle, written once as
+heights over x and once as radii over theta.  This module also provides
+the grim-reaper traveling wave of the unforced graph flow (used as a
+moving sub-solution), expanding circle barriers, and the one-parameter
+family of concave initial graphs y = sigma * phi(x) whose long-time fate
+the classifier decides; a family curve's intersections with the upper
+equilibrium are counted by the package's sign-word rule,
+``analysis.word_from_gap``, with exact signs.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .analysis import word_from_gap
 from .geometry import (
     GraphProfile,
     PolarProfile,
@@ -51,10 +56,27 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _arc_heights(params: ProblemParams, x: np.ndarray, side: float) -> np.ndarray:
+    """Heights sqrt(1/A^2 - x^2) + side * c of the circle of radius 1/A
+    about (0, side * c): the lower cap for side = -1, and the upper arc
+    over the open interval |x| < a for side = +1."""
+    return np.sqrt(np.maximum(params.radius**2 - x**2, 0.0)) + side * params.center_offset
+
+
+def _arc_radii(params: ProblemParams, side: float) -> PolarProfile:
+    """Radii side * c sin(theta) + sqrt(1/A^2 - c^2 cos^2(theta)) of the same
+    circle at the theta-nodes, pinned exactly to a."""
+    th = params.theta_nodes()
+    c = params.center_offset
+    rho = side * c * np.sin(th) + np.sqrt(params.radius**2 - (c * np.cos(th)) ** 2)
+    rho[0] = params.a
+    rho[-1] = params.a
+    return PolarProfile(params, rho)
+
+
 def gamma_lower(params: ProblemParams) -> GraphProfile:
     """Lower equilibrium as a graph: y = sqrt(1/A^2 - x^2) - c, pinned exactly."""
-    x = params.x_nodes()
-    u = np.sqrt(np.maximum(params.radius**2 - x**2, 0.0)) - params.center_offset
+    u = _arc_heights(params, params.x_nodes(), -1.0)
     u[0] = 0.0
     u[-1] = 0.0
     return GraphProfile(params, u)
@@ -68,22 +90,12 @@ def gamma_upper(params: ProblemParams) -> PolarProfile:
     apex (0, c + 1/A) back to P.  Degenerate case c = 0 (a = 1/A) reduces
     to the constant semicircle rho = 1/A.
     """
-    th = params.theta_nodes()
-    c = params.center_offset
-    rho = c * np.sin(th) + np.sqrt(params.radius**2 - (c * np.cos(th)) ** 2)
-    rho[0] = params.a
-    rho[-1] = params.a
-    return PolarProfile(params, rho)
+    return _arc_radii(params, 1.0)
 
 
 def gamma_lower_polar(params: ProblemParams) -> PolarProfile:
     """Lower equilibrium in the polar chart (minor arc about (0, -c))."""
-    th = params.theta_nodes()
-    c = params.center_offset
-    rho = -c * np.sin(th) + np.sqrt(params.radius**2 - (c * np.cos(th)) ** 2)
-    rho[0] = params.a
-    rho[-1] = params.a
-    return PolarProfile(params, rho)
+    return _arc_radii(params, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +254,6 @@ def _phi_parabola(a: float) -> Callable[[np.ndarray], np.ndarray]:
 _PHI_BUILTINS = {"cos": _phi_cos, "parabola": _phi_parabola}
 
 
-def _upper_heights(params: ProblemParams, x: np.ndarray) -> np.ndarray:
-    """Height of the upper equilibrium over the open interval |x| < a."""
-    c = params.center_offset
-    return c + np.sqrt(params.radius**2 - x**2)
-
-
-def _count_upper_intersections(params: ProblemParams, x: np.ndarray, u: np.ndarray) -> int:
-    """Intersections of a pinned graph with the upper equilibrium.
-
-    Interior crossings are sign changes of u minus the upper-arc height
-    (the only part of the upper equilibrium over |x| < a); the shared
-    endpoints always count, so the result is 2 + interior crossings.
-    """
-    gap = u[1:-1] - _upper_heights(params, x[1:-1])
-    signs = np.sign(gap)
-    signs = signs[signs != 0.0]
-    return 2 + int(np.sum(signs[1:] * signs[:-1] < 0))
-
-
 @dataclass(frozen=True)
 class InitialFamily:
     """The concave initial family y = sigma * phi(x).
@@ -325,7 +318,9 @@ def initial_curve(fam: InitialFamily) -> GraphProfile:
     u = fam.sigma * fam.phi_values(x)
     u[0] = 0.0
     u[-1] = 0.0
-    z = _count_upper_intersections(params, x, u)
+    # exact signs: a tolerance would merge the crossings near the pins
+    gap = u[1:-1] - _arc_heights(params, x[1:-1], 1.0)
+    z = word_from_gap(x[1:-1], gap, tol=0.0).z
     if z > 4:
         raise ValueError(
             f"initial curve meets the upper equilibrium {z} times; at most 4 allowed"

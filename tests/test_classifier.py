@@ -141,6 +141,8 @@ def test_bisect_validates_endpoints(template, ctl, tols):
         bisect_sigma_star(template, 2.0, 1.0, 0.1, ctl, tols)  # lo >= hi
     with pytest.raises(ValueError):
         bisect_sigma_star(template, 1.0, 2.0, -0.1, ctl, tols)  # bad tol
+    with pytest.raises(ValueError, match="width_tol"):
+        bisect_sigma_star(template, 1.0, 2.0, float("nan"), ctl, tols)
     with pytest.raises(ValueError):  # lo0 escapes, so it is not a lower endpoint
         bisect_sigma_star(template, 10.0, 20.0, 0.1, ctl, tols)
     with pytest.raises(ValueError):  # hi0 converges, so it is not an upper endpoint

@@ -57,6 +57,22 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(str(tmp_path / "nope.cfg"))
 
 
+@pytest.mark.parametrize(
+    "key", ["cfl", "t_max", "sample_interval", "converge", "escape_gap", "dissipation", "width_tol"]
+)
+def test_nan_setting_exits_1(tmp_path, capsys, key):
+    # `verify` rejects a config through the same checks as `run`, but fails
+    # fast if they let NaN through: a run with a NaN sample_interval would
+    # sample t = 0 forever
+    cfg = write_cfg(tmp_path, BASE_CFG + f"{key} = nan\n")
+    if key == "width_tol":  # checked by the bisection itself
+        argv = ["bisect", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    else:
+        argv = ["verify", "--config", cfg, "--only", "10", "--quiet"]
+    assert main(argv) == 1
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_sigma_list_parsing(tmp_path):
     cfg = load_config(write_cfg(tmp_path, "sigmas = -1, 0, 0.1\n"))
     assert cfg.sigma_list() == [-1.0, 0.0, 0.1]

@@ -54,6 +54,19 @@ def test_step_control_validation(params):
     assert ctl.dt == pytest.approx(0.2 * params.dx**2)
 
 
+@pytest.mark.parametrize("field", ["dx", "dt", "cfl", "t_max", "sample_interval"])
+def test_step_control_rejects_nan(semi, field):
+    # every comparison with NaN is false, so the checks must be written to fail on it
+    with pytest.raises(ValueError):
+        replace(semi, **{field: float("nan")})
+
+
+@pytest.mark.parametrize("field", ["converge", "escape_gap", "dissipation", "t_max"])
+def test_classifier_tolerances_reject_nan(field):
+    with pytest.raises(ValueError):
+        ClassifierTolerances(**{field: float("nan")})
+
+
 # --- single steps -------------------------------------------------------------------
 
 

@@ -130,6 +130,26 @@ def test_curvature_charts_agree_with_refinement():
     assert errs_p[0] / errs_p[1] > 3.5 and errs_p[1] / errs_p[2] > 3.5
 
 
+@pytest.mark.parametrize("n", [101, 201, 401])
+def test_curvature_matches_central_difference_expressions(n):
+    # the curvature runs on the stepper's stencil; it must agree with the
+    # textbook central-difference formulas
+    p = ProblemParams(A=1.0, a=0.5, grid_n=n)
+    dx, dth = p.dx, p.dtheta
+    x = p.x_nodes()
+    for u in (gamma_lower(p).u, np.where(np.abs(x) < p.a, 3.0 * np.cos(np.pi * x), 0.0)):
+        ux = (u[2:] - u[:-2]) / (2.0 * dx)
+        uxx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
+        expected = -uxx / (1.0 + ux**2) ** 1.5
+        assert np.max(np.abs(curvature_graph(GraphProfile(p, u)) - expected)) < 1e-12
+    for r in (gamma_upper(p).rho, gamma_lower_polar(p).rho):
+        rt = (r[2:] - r[:-2]) / (2.0 * dth)
+        rtt = (r[2:] - 2.0 * r[1:-1] + r[:-2]) / dth**2
+        ri = r[1:-1]
+        expected = (ri**2 + 2.0 * rt**2 - ri * rtt) / (ri**2 + rt**2) ** 1.5
+        assert np.max(np.abs(curvature_polar(PolarProfile(p, r)) - expected)) < 1e-12
+
+
 def test_parabola_curvature_at_apex(params):
     x = params.x_nodes()
     u = params.a**2 - x**2

@@ -20,7 +20,8 @@ from extremalflow import (
     initial_curve,
     polar_to_sampled,
 )
-from extremalflow.solutions import grim_reaper_kink
+from extremalflow.analysis import word_from_gap
+from extremalflow.solutions import _arc_heights, grim_reaper_kink
 
 
 # --- equilibria -----------------------------------------------------------------
@@ -31,6 +32,30 @@ def test_lower_equilibrium_values(params):
     assert g.u[0] == 0.0 and g.u[-1] == 0.0
     mid = params.grid_n // 2
     assert g.u[mid] == pytest.approx(0.1339745962155614, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "A,a,n", [(1.0, 0.5, 201), (1.0, 0.5, 101), (2.0, 0.3, 151), (1.0, 1.0, 201)]
+)
+def test_arc_formulas_match_closed_forms(A, a, n):
+    # each arc's closed form, written out on its own
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a = 1/A is the degenerate semicircle
+        p = ProblemParams(A=A, a=a, grid_n=n)
+    x, th, c, r = p.x_nodes(), p.theta_nodes(), p.center_offset, p.radius
+
+    def pinned(v, end):
+        v[0] = v[-1] = end
+        return v
+
+    lower = pinned(np.sqrt(np.maximum(r**2 - x**2, 0.0)) - c, 0.0)
+    upper = pinned(c * np.sin(th) + np.sqrt(r**2 - (c * np.cos(th)) ** 2), a)
+    lower_polar = pinned(-c * np.sin(th) + np.sqrt(r**2 - (c * np.cos(th)) ** 2), a)
+    xs = np.linspace(-a, a, 4001)[1:-1]
+    assert np.array_equal(gamma_lower(p).u, lower)
+    assert np.array_equal(gamma_upper(p).rho, upper)
+    assert np.array_equal(gamma_lower_polar(p).rho, lower_polar)
+    assert np.array_equal(_arc_heights(p, xs, 1.0), c + np.sqrt(r**2 - xs**2))
 
 
 def test_degenerate_lower_is_semicircle():
@@ -187,18 +212,36 @@ def _brute_force_upper_crossings(params, u):
     return 2 + int(np.sum(sign[1:] * sign[:-1] < 0))
 
 
-@pytest.mark.parametrize("sigma,expected_z", [(5.0, 4), (0.1, 2), (-1.0, 2)])
-def test_intersections_with_upper_equilibrium(params, sigma, expected_z):
-    g = initial_curve(InitialFamily(params, sigma=sigma))
-    assert _brute_force_upper_crossings(params, g.u) == expected_z
-
-
-def test_initial_curve_rejects_excess_crossings(params, monkeypatch):
+@pytest.mark.parametrize(
+    "sigma,expected_z", [(5.0, 4), (0.1, 2), (-1.0, 2), (36.0, 4), (60.0, 4)]
+)
+def test_intersections_with_upper_equilibrium(params, sigma, expected_z, monkeypatch):
+    # the count initial_curve checks must be the oracle's; at sigma 36 and 60
+    # the crossings sit next to the pins, where a sign tolerance merges them
     import extremalflow.solutions as solutions
 
-    monkeypatch.setattr(solutions, "_count_upper_intersections", lambda *a: 6)
-    with pytest.raises(ValueError, match="at most 4"):
-        initial_curve(InitialFamily(params, sigma=0.5))
+    words = []
+
+    def recorded(*args, **kwargs):
+        words.append(word_from_gap(*args, **kwargs))
+        return words[-1]
+
+    monkeypatch.setattr(solutions, "word_from_gap", recorded)
+    g = initial_curve(InitialFamily(params, sigma=sigma))
+    assert _brute_force_upper_crossings(params, g.u) == expected_z
+    assert [w.z for w in words] == [expected_z]
+
+
+def test_initial_curve_rejects_excess_crossings(params):
+    # a flat-topped concave profile meets the upper arc six times: twice
+    # across its top and twice beside each pin (at 1.8 a sign tolerance
+    # would merge the crossings beside the pins and read four)
+    phi = lambda x: 1.0 - (x / params.a) ** 20
+    for sigma in (1.84, 1.8):
+        u = sigma * phi(params.x_nodes())
+        assert _brute_force_upper_crossings(params, u) == 6
+        with pytest.raises(ValueError, match="at most 4"):
+            initial_curve(InitialFamily(params, sigma=sigma, phi=phi))
 
 
 def test_family_shape_validation(params):
