@@ -23,6 +23,7 @@ import numpy as np
 from .geometry import (
     AXIS_TOL,
     SampledCurve,
+    _chord_lengths,
     _polar_angles,
     endpoint_tangents,
     enclosed_area,
@@ -107,13 +108,12 @@ def intersection_audit(words) -> bool:
 class GapProfile:
     """Oriented gap of curve 1 relative to curve 2 in a common chart.
 
-    ``kind`` is 'x' or 'polar'; ``param`` holds the strictly increasing
-    interior parameter values and ``gap`` the signed separation (positive
-    where curve 1 lies above / radially outside curve 2).  The implied
-    gap at both endpoints is exactly zero.
+    ``param`` holds the strictly increasing interior parameter values (x
+    or the polar angle) and ``gap`` the signed separation (positive where
+    curve 1 lies above / radially outside curve 2).  The implied gap at
+    both endpoints is exactly zero.
     """
 
-    kind: str
     param: np.ndarray
     gap: np.ndarray
 
@@ -165,7 +165,7 @@ def gap_profile(c1: SampledCurve, c2: SampledCurve) -> GapProfile:
                 h2 = np.interp(xs, c2.x, c2.y)
             else:
                 h2 = _heights_at(c2, xs)
-            return GapProfile(kind="x", param=xs, gap=h1 - h2)
+            return GapProfile(param=xs, gap=h1 - h2)
         except ValueError:
             pass
 
@@ -179,7 +179,7 @@ def gap_profile(c1: SampledCurve, c2: SampledCurve) -> GapProfile:
         th = th[(th > 0.0) & (th < np.pi)]
         g1 = np.interp(th, th1, r1)
         g2 = np.interp(th, th2, r2)
-        return GapProfile(kind="polar", param=th, gap=g1 - g2)
+        return GapProfile(param=th, gap=g1 - g2)
 
     raise ValueError("no common parameterization: curves are neither both "
                      "x-representable nor both star-shaped")
@@ -368,7 +368,7 @@ def dissipation_estimate(c: SampledCurve, A: float) -> float:
     full polyline length.
     """
     kappa = polyline_curvature(c)
-    seg = np.hypot(*np.diff(c.points, axis=0).T)
+    seg = _chord_lengths(c.x, c.y)
     w = np.empty(len(c.points))
     w[0] = seg[0] / 2.0
     w[-1] = seg[-1] / 2.0

@@ -159,9 +159,10 @@ class BisectStep:
 class Bracket:
     """Certified enclosure of the critical amplitude.
 
-    ``lo`` classified ConvergeLower and ``hi`` Escape; the critical
-    amplitude lies in between.  ``iterations`` logs every midpoint
-    evaluation, including its energy-monotonicity and word-chain audits.
+    ``lo`` classified ConvergeLower and ``hi`` Escape (or ConvergeUpper,
+    an orbit latched onto the separatrix); the critical amplitude lies in
+    between.  ``iterations`` logs every midpoint evaluation, including its
+    energy-monotonicity and word-chain audits.
     """
 
     lo: float
@@ -207,17 +208,6 @@ class Bracket:
         }
 
 
-def _undetermined_side(final_word: str | None) -> str:
-    """Secondary vote for midpoints the horizon could not decide.
-
-    A final word still containing '+' marks an orbit on the escape side
-    of the separatrix; a pure '-' word has fallen below it.
-    """
-    if final_word and "+" in final_word:
-        return "hi"
-    return "lo"
-
-
 def bisect_sigma_star(
     template: InitialFamily,
     lo0: float,
@@ -229,9 +219,11 @@ def bisect_sigma_star(
     """Bisect between a lower-converging and an escaping amplitude.
 
     The endpoints are verified first, in one two-member batch; each
-    midpoint then replaces the side its category dictates.  Undetermined
-    midpoints are assigned by the secondary vote on their final sign
-    word and logged as such.
+    midpoint then replaces the side its category dictates: Escape and
+    ConvergeUpper move ``hi``, ConvergeLower moves ``lo``.  A midpoint
+    that ends Undetermined (horizon, blowup, or chart loss without a '+'
+    word) has no certified side, so it raises ``ValueError`` naming its
+    amplitude, its event and the certified enclosure so far.
     """
     if not lo0 < hi0:
         raise ValueError("need lo0 < hi0")
@@ -249,26 +241,21 @@ def bisect_sigma_star(
     while hi - lo > width_tol:
         mid = 0.5 * (lo + hi)
         cat, traj = classify(template.with_sigma(mid), ctl, tols)
-        word = traj.diagnostics[-1].sgn_upper
-        if cat is Category.ESCAPE:
-            side = "hi"
-        elif cat is Category.CONVERGE_LOWER:
-            side = "lo"
-        elif cat is Category.CONVERGE_UPPER:
-            # the midpoint sits on the separatrix itself; shrink from above
-            side = "hi"
-        else:
-            side = _undetermined_side(word)
-        if side == "hi":
-            hi, cat_hi = mid, cat
-        else:
-            lo, cat_lo = mid, cat
+        if cat is Category.UNDETERMINED:
+            raise ValueError(
+                f"midpoint sigma={mid!r} is Undetermined ({traj.event.kind.value} at "
+                f"t={traj.event.t:.6g}); the certified enclosure is [{lo!r}, {hi!r}]"
+            )
+        if cat is Category.CONVERGE_LOWER:
+            side, lo, cat_lo = "lo", mid, cat
+        else:  # a ConvergeUpper midpoint sits on the separatrix itself; shrink from above
+            side, hi, cat_hi = "hi", mid, cat
         log.append(
             BisectStep(
                 sigma=mid,
                 category=cat,
                 t_event=traj.event.t,
-                final_sgn=word,
+                final_sgn=traj.diagnostics[-1].sgn_upper,
                 side=side,
                 max_energy_rise=traj.max_step_energy_increase,
                 word_chain_ok=intersection_audit(

@@ -25,7 +25,7 @@ from .classifier import (
 from .evolvers import ClassifierTolerances, EventKind, StepControl
 from .geometry import ProblemParams
 from .solutions import InitialFamily, grim_reaper_dominating_sigma
-from .verification import run_all
+from .verification import CRITERIA, run_all
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -229,9 +229,9 @@ def cmd_verify(only: str | None, quiet: bool) -> int:
             print(f"--only expects comma-separated criterion numbers, got {only!r}",
                   file=sys.stderr)
             return 1
-        bad = [n for n in numbers if n not in range(1, 11)]
+        bad = [n for n in numbers if n not in CRITERIA]
         if bad:
-            print(f"unknown criteria {bad}; valid range is 1..10", file=sys.stderr)
+            print(f"unknown criteria {bad}; valid are {sorted(CRITERIA)}", file=sys.stderr)
             return 1
     results = run_all(numbers, quiet=quiet)
     return 0 if all(r.passed for r in results) else 1

@@ -129,15 +129,17 @@ class BlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepControl:
-    """Stepping parameters for one chart grid.
+    """Stepping parameters, for any grid.
 
     ``dt`` is the nominal step; the actual step never exceeds it and is
-    further clipped by the explicit stability bound (cfl * dx^2 scaled by
-    the metric) and a displacement cap.  ``scheme`` selects 'explicit'
-    Euler or the 'semi_implicit' linearized-diffusion variant.
+    further clipped by the explicit stability bound (cfl * h^2 on the
+    spacing h being stepped, scaled by the metric) and a displacement cap.
+    ``scheme`` selects 'explicit' Euler or the 'semi_implicit'
+    linearized-diffusion variant.  An explicit ``dt`` must satisfy
+    dt <= cfl * dx^2 on the graph grid it steps; that grid is known only
+    when stepping starts, so the graph chart checks it there.
     """
 
-    dx: float
     dt: float
     cfl: float = 0.2
     t_max: float = 50.0
@@ -147,14 +149,11 @@ class StepControl:
     def __post_init__(self):
         if self.scheme not in ("explicit", "semi_implicit"):
             raise ValueError(f"unknown scheme '{self.scheme}'")
-        if self.scheme == "explicit":
-            if not 0 < self.cfl <= 0.25:
-                raise ValueError("explicit scheme requires 0 < cfl <= 0.25")
-            if self.dt > self.cfl * self.dx**2 * (1.0 + 1e-12):
-                raise ValueError("explicit scheme requires dt <= cfl * dx^2")
+        if self.scheme == "explicit" and not 0 < self.cfl <= 0.25:
+            raise ValueError("explicit scheme requires 0 < cfl <= 0.25")
         # written so that a NaN fails the test
-        if not all(v > 0 for v in (self.dx, self.dt, self.cfl, self.t_max, self.sample_interval)):
-            raise ValueError("dx, dt, cfl, t_max and sample_interval must be positive")
+        if not all(v > 0 for v in (self.dt, self.cfl, self.t_max, self.sample_interval)):
+            raise ValueError("dt, cfl, t_max and sample_interval must be positive")
 
     @classmethod
     def for_params(
@@ -163,15 +162,13 @@ class StepControl:
         cfl: float = 0.2,
         t_max: float = 50.0,
         scheme: str = "explicit",
-        dt: float | None = None,
         sample_interval: float = 0.1,
     ) -> "StepControl":
+        """Controls sized for the grid of ``params``: dt = cfl * dx^2 for
+        the explicit scheme, dt = 0.1 * dx for the semi-implicit one."""
         dx = params.dx
-        if dt is None:
-            dt = cfl * dx**2 if scheme == "explicit" else 0.1 * dx
         return cls(
-            dx=dx,
-            dt=dt,
+            dt=cfl * dx**2 if scheme == "explicit" else 0.1 * dx,
             cfl=cfl,
             t_max=t_max,
             scheme=scheme,
@@ -230,12 +227,10 @@ class DiagnosticRecord:
     z_upper: int | None
     sgn_upper: str | None
     kappa_dev_P: float
-    kappa_dev_Q: float
     tangent_y_P: float
     tangent_y_Q: float
     dist_lower: float
     dist_upper: float
-    min_height: float
 
 
 @dataclass
@@ -340,7 +335,8 @@ class _GraphChart:
     slope reaches about sqrt(2 / (A dx)), after which the first interior
     node spikes past its neighbour and the state folds, so the handoff
     fires well before that.  Only a chart built with ``params`` (that of
-    a full run) can abort.
+    a full run) can abort; it compares against the lower equilibrium of
+    those ``params``.
 
     The stepping methods take a (k, n) array of states, one per row;
     ``rows`` names each row's index in the batch being advanced.
@@ -348,14 +344,14 @@ class _GraphChart:
 
     name, pin = "graph", 0.0
 
-    def __init__(self, h, A, params=None, lower=None):
-        self.h, self.A, self.params, self.lower = h, A, params, lower
+    def __init__(self, h, A, params=None):
+        self.h, self.A, self.params = h, A, params
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
         self.h2, self.A0 = np.array(h**2), np.array(A)
         self.fill_cache = {}
         self._X = None
         if params is not None:
-            self.x = params.x_nodes()
+            self.x, self.lower = params.x_nodes(), gamma_lower(params).u
             self.depth_scale = max(params.center_offset, 0.05 * params.a)
             self.abort_slope = max(2.0 * SLOPE_SWITCH, 0.5 * np.sqrt(2.0 / (A * h)))
             self.s_min = SLOPE_SWITCH * h
@@ -371,8 +367,12 @@ class _GraphChart:
         return self._at
 
     def prepare(self, ctl: StepControl, K: int):
-        explicit = ctl.scheme == "explicit"
-        self.dt_base = min(ctl.dt, ctl.cfl * self.h**2) if explicit else ctl.dt
+        self.dt_base = ctl.dt
+        if ctl.scheme == "explicit":
+            dt_stab = ctl.cfl * self.h**2
+            if ctl.dt > dt_stab * (1.0 + 1e-12):
+                raise ValueError("explicit scheme requires dt <= cfl * dx^2")
+            self.dt_base = min(ctl.dt, dt_stab)
         self.umax = [0.0] * K
 
     def terms(self, inner, d1, M, F, work):
@@ -507,19 +507,21 @@ class _PolarChart:
     fast in rho without the curve itself moving fast); the explicit scheme
     adds the metric-weighted bound cfl * dtheta^2 * min(M).  The nominal
     ctl.dt is sized for the graph chart and caps only the semi-implicit one.
-    The stepping methods work on (k, n) arrays as in the graph chart.
+    A chart built with ``params`` compares against both equilibria of
+    those ``params``.  The stepping methods work on (k, n) arrays as in the
+    graph chart.
     """
 
     name = "polar"
 
-    def __init__(self, h, A, pin, params=None, lower=None, upper=None):
-        self.h, self.A, self.pin = h, A, pin
-        self.params, self.lower, self.upper = params, lower, upper
+    def __init__(self, h, A, pin, params=None):
+        self.h, self.A, self.pin, self.params = h, A, pin, params
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
         self.A0 = np.array(A)
         self._k = None
         if params is not None:
             self.theta = params.theta_nodes()
+            self.lower, self.upper = gamma_lower_polar(params).rho, gamma_upper(params).rho
             self.cos, self.sin = np.cos(self.theta), np.sin(self.theta)
 
     def _buffers(self, k):
@@ -884,7 +886,7 @@ def switch_chart(c: SampledCurve, target: str, params: ProblemParams):
 # ---------------------------------------------------------------------------
 
 
-def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances | None = None) -> Trajectory:
+def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> Trajectory:
     """Evolve a family curve until a classification event fires.
 
     Starts in the graph chart.  When the profile steepens past
@@ -954,9 +956,7 @@ class _Run:
         )
 
 
-def evolve_batch(
-    fams, ctl: StepControl, tols: ClassifierTolerances | None = None, history: bool = True
-):
+def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bool = True):
     """Evolve several family curves of one ``ProblemParams`` as one batch.
 
     Yields ``(i, trajectory)`` for ``fams[i]`` as each member finishes, so
@@ -973,15 +973,11 @@ def evolve_batch(
     fams = list(fams)
     if not fams:
         return
-    if tols is None:
-        tols = ClassifierTolerances(t_max=ctl.t_max)
     params, A = fams[0].params, fams[0].params.A
     if any(f.params != params for f in fams):
         raise ValueError("the members of a batch must share their ProblemParams")
-    graph = _GraphChart(params.dx, A, params, gamma_lower(params).u)
-    polar = _PolarChart(
-        params.dtheta, A, params.a, params, gamma_lower_polar(params).rho, gamma_upper(params).rho
-    )
+    graph = _GraphChart(params.dx, A, params)
+    polar = _PolarChart(params.dtheta, A, params.a, params)
     graph.other, polar.other = polar, graph
     horizon = min(ctl.t_max, tols.t_max)
 
@@ -1028,7 +1024,7 @@ def _diagnose(chart, s, curve: SampledCurve, t: float):
     A = chart.A
     L, S, E = energy(curve, A)
     tangents = endpoint_tangents(curve)
-    kdev_P, kdev_Q = endpoint_curvature_deviation(curve, A)
+    kdev_P = endpoint_curvature_deviation(curve, A)[0]
     lyap, param, gap_up, dist_lower, dist_upper, min_gap_up = chart.compare(s)
     try:
         word = word_from_gap(param, gap_up)
@@ -1046,12 +1042,10 @@ def _diagnose(chart, s, curve: SampledCurve, t: float):
         z_upper=z,
         sgn_upper=letters,
         kappa_dev_P=kdev_P,
-        kappa_dev_Q=kdev_Q,
         tangent_y_P=float(tangents.at_P[1]),
         tangent_y_Q=float(tangents.at_Q[1]),
         dist_lower=dist_lower,
         dist_upper=dist_upper,
-        min_height=float(np.min(curve.y)),
     )
     return rec, min_gap_up
 

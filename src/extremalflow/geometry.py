@@ -333,7 +333,7 @@ def endpoint_tangents(c: SampledCurve) -> EndpointTangents:
     pts = c.points
     if len(pts) < 3:
         raise ValueError("need at least 3 points for endpoint tangents")
-    seg = np.hypot(*np.diff(pts, axis=0).T)
+    seg = _chord_lengths(c.x, c.y)
     s1, s2 = seg[0], seg[0] + seg[1]
     vP = _lagrange_derivative_at_zero(s1, s2, pts[0], pts[1], pts[2])
     s1b, s2b = seg[-1], seg[-1] + seg[-2]
@@ -360,8 +360,8 @@ def polyline_curvature(c: SampledCurve) -> np.ndarray:
     e2 = p2 - p1
     e3 = p2 - p0
     cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    l1 = np.hypot(e1[:, 0], e1[:, 1])
-    l2 = np.hypot(e2[:, 0], e2[:, 1])
+    seg = _chord_lengths(c.x, c.y)
+    l1, l2 = seg[:-1], seg[1:]
     l3 = np.hypot(e3[:, 0], e3[:, 1])
     interior = -2.0 * cross / (l1 * l2 * l3)
     kappa = np.empty(n)

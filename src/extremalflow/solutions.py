@@ -328,25 +328,18 @@ def initial_curve(fam: InitialFamily) -> GraphProfile:
     return GraphProfile(params, u)
 
 
-def grim_reaper_dominating_sigma(
-    params: ProblemParams,
-    R: float = 2.0,
-    b: float | None = None,
-    safety: float = 1.05,
-) -> float:
+def grim_reaper_dominating_sigma(params: ProblemParams) -> float:
     """Amplitude guaranteeing escape via grim-reaper domination.
 
-    Builds the barrier geometry for radius R, places a grim reaper of
-    width b (default 0.9 * 2a/pi) high enough that its center stays above
-    the barrier apex K until the crossing time t*, and returns the
-    smallest family amplitude whose graph strictly dominates the capped
-    reaper at t = 0, scaled by ``safety``.
+    Builds the barrier geometry for the expanding-circle radius R = 2,
+    places a grim reaper of width b = 0.9 * 2a/pi (inside the sub-solution
+    range b < 2a/pi) high enough that its center stays above the barrier
+    apex K until the crossing time t*, and returns the smallest family
+    amplitude whose graph strictly dominates the capped reaper at t = 0,
+    scaled by a safety factor of 1.05.
     """
-    if b is None:
-        b = 0.9 * 2.0 * params.a / np.pi
-    if not 0 < b < 2.0 * params.a / np.pi:
-        raise ValueError("reaper width must satisfy 0 < b < 2a/pi")
-    geom = barrier_geometry(params, R)
+    b = 0.9 * 2.0 * params.a / np.pi
+    geom = barrier_geometry(params, 2.0)
     C = geom.apex_height + geom.crossing_time / b + 1.0
     # Dense scan: the binding constraint sits near the reaper's kink where
     # the profile phi is small.
@@ -357,4 +350,4 @@ def grim_reaper_dominating_sigma(
     inside = np.abs(x) < b * np.pi / 2.0
     g[inside] = np.maximum(grim_reaper_value(b, C, x[inside], 0.0), 0.0)
     ratio = g / phi
-    return float(safety * np.max(ratio))
+    return float(1.05 * np.max(ratio))

@@ -5,7 +5,8 @@ that lazily runs and caches the expensive simulations (the three
 lower-convergence runs, the grim-reaper escape run, the two-grid
 threshold bisections, and the near-critical run).  Both the command-line
 ``verify`` entry point and the pytest acceptance module drive the same
-functions, so the printed table and the test suite cannot drift apart.
+functions through ``run_one``, which also times each call, so the
+printed table and the test suite cannot drift apart.
 
 All parameters and tolerances are pinned here; nothing is calibrated at
 run time.
@@ -47,7 +48,7 @@ from .solutions import (
     grim_reaper_value,
 )
 
-__all__ = ["CriterionResult", "VerificationContext", "run_all", "CRITERIA"]
+__all__ = ["CriterionResult", "VerificationContext", "run_one", "run_all", "CRITERIA"]
 
 
 @dataclass
@@ -56,7 +57,7 @@ class CriterionResult:
     title: str
     passed: bool
     detail: str
-    seconds: float
+    seconds: float = 0.0  # set by ``run_one``
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -173,7 +174,6 @@ class VerificationContext:
 
 def criterion_1(ctx: VerificationContext) -> CriterionResult:
     """Equilibrium stationarity under explicit stepping over t in [0, 1]."""
-    t0 = time.perf_counter()
     ctl = StepControl.for_params(ctx.params, cfl=0.2, scheme="explicit")
     lower = gamma_lower(ctx.params)
     t_lo = time.perf_counter()
@@ -190,13 +190,11 @@ def criterion_1(ctx: VerificationContext) -> CriterionResult:
         ok,
         f"sup-drift lower {drift_lo:.2e}, upper {drift_up:.2e} "
         f"(runtimes {dt_lo:.1f}s/{dt_up:.1f}s, bound 1e-3, <5s each)",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_2(ctx: VerificationContext) -> CriterionResult:
     """Grim-reaper residual of the discrete unforced graph operator is O(dx^2)."""
-    t0 = time.perf_counter()
     b, C = 0.25, 3.0
     resid = []
     for n in (101, 201, 401):
@@ -215,13 +213,11 @@ def criterion_2(ctx: VerificationContext) -> CriterionResult:
         ok,
         f"sup-residuals {resid[0]:.2e}/{resid[1]:.2e}/{resid[2]:.2e}, "
         f"halving ratios {r1:.2f}, {r2:.2f} (bound 3.5)",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_3(ctx: VerificationContext) -> CriterionResult:
     """Adaptive-RK circle radius matches the implicit closed form to 1e-8."""
-    t0 = time.perf_counter()
     A, R0 = 1.0, 2.0
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
@@ -236,13 +232,11 @@ def criterion_3(ctx: VerificationContext) -> CriterionResult:
         "circle ODE oracle",
         ok,
         f"max |numeric - implicit| = {worst:.2e} (bound 1e-8)",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_4(ctx: VerificationContext) -> CriterionResult:
     """sigma in {-1, 0, 0.1} all converge to the lower equilibrium by t <= 20."""
-    t0 = time.perf_counter()
     runs, wall = ctx.lower_runs()
     details = []
     ok = wall < 30.0
@@ -258,13 +252,11 @@ def criterion_4(ctx: VerificationContext) -> CriterionResult:
         "lower convergence",
         ok,
         "; ".join(details) + f" (total {wall:.1f}s, bound 30s)",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_5(ctx: VerificationContext) -> CriterionResult:
     """The grim-reaper-dominating amplitude escapes with final word '+'."""
-    t0 = time.perf_counter()
     cat, traj = ctx.escape_run()
     word = traj.diagnostics[-1].sgn_upper
     ok = (
@@ -278,7 +270,6 @@ def criterion_5(ctx: VerificationContext) -> CriterionResult:
         ok,
         f"sigma={ctx.escape_sigma():.1f}: {cat.value} at t={traj.event.t:.2f}, "
         f"final word [{word}]",
-        time.perf_counter() - t0,
     )
 
 
@@ -316,13 +307,11 @@ def criterion_6(ctx: VerificationContext) -> CriterionResult:
         f"grid 101 vs 201 midpoints differ by {mid_diff:.2e} (bound 0.05); "
         f"near-critical closest approach {closest:.2e} (bound {bar:.0e}), "
         f"word [-+-] until then: {words_ok} ({wall:.0f}s, bound 300s)",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_7(ctx: VerificationContext) -> CriterionResult:
     """Energy never rises past the noise floor and dissipates at the stated rate."""
-    t0 = time.perf_counter()
     rises = []
     runs, _ = ctx.lower_runs()
     for s, (cat, traj) in runs.items():
@@ -356,13 +345,11 @@ def criterion_7(ctx: VerificationContext) -> CriterionResult:
         f"max per-step energy rise {worst_rise:.2e} ({worst_name}; bound 1e-7); "
         f"identity max rel err {max(errs) if errs else float('nan'):.2%} over "
         f"{len(errs)} samples in t=[0.5,5] (bound 5%)",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_8(ctx: VerificationContext) -> CriterionResult:
     """Intersection count never increases; words only simplify."""
-    t0 = time.perf_counter()
     bad = []
     runs, _ = ctx.lower_runs()
     trajs = {f"sigma={s}": traj for s, (_c, traj) in runs.items()}
@@ -383,13 +370,11 @@ def criterion_8(ctx: VerificationContext) -> CriterionResult:
         ok,
         f"{len(trajs) + len(ctx.bracket_201().iterations) + len(ctx.refined_bracket().iterations)}"
         f" runs audited" + ("" if ok else f"; violations: {bad}"),
-        time.perf_counter() - t0,
     )
 
 
 def criterion_9(ctx: VerificationContext) -> CriterionResult:
     """Ordered initial amplitudes stay pointwise ordered while both run."""
-    t0 = time.perf_counter()
     runs = ctx.comparison_runs()
     pairs = [(0.1, 0.5), (0.5, 1.0), (-0.5, 0.5)]
     details = []
@@ -410,13 +395,11 @@ def criterion_9(ctx: VerificationContext) -> CriterionResult:
         "comparison-principle ordering",
         ok,
         "; ".join(details) + " (bound -1e-9)",
-        time.perf_counter() - t0,
     )
 
 
 def criterion_10(ctx: VerificationContext) -> CriterionResult:
     """Word algebra: exhaustive subword checks on all words of length <= 4."""
-    t0 = time.perf_counter()
     ok = True
     ok &= subword(SgnWord("+-"), SgnWord("+"))
     ok &= subword(SgnWord("+-"), SgnWord("-"))
@@ -457,7 +440,6 @@ def criterion_10(ctx: VerificationContext) -> CriterionResult:
         "sign-word algebra",
         bool(ok),
         f"{checked} ordered pairs checked against an independent subsequence scan",
-        time.perf_counter() - t0,
     )
 
 
@@ -475,18 +457,25 @@ CRITERIA = {
 }
 
 
-def run_all(numbers=None, quiet: bool = False, ctx: VerificationContext | None = None):
+def run_one(number: int, ctx: VerificationContext) -> CriterionResult:
+    """Run one criterion on ``ctx`` and record its wall time."""
+    t0 = time.perf_counter()
+    res = CRITERIA[number](ctx)
+    res.seconds = time.perf_counter() - t0
+    return res
+
+
+def run_all(numbers=None, quiet: bool = False):
     """Run the selected acceptance criteria (all by default) in order.
 
     Returns the list of :class:`CriterionResult`; prints one line per
     criterion unless ``quiet``.
     """
-    if ctx is None:
-        ctx = VerificationContext()
+    ctx = VerificationContext()
     selected = sorted(numbers) if numbers else sorted(CRITERIA)
     results = []
     for n in selected:
-        res = CRITERIA[n](ctx)
+        res = run_one(n, ctx)
         results.append(res)
         if not quiet:
             print(res.line(), flush=True)

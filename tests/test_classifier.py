@@ -16,7 +16,6 @@ from extremalflow.classifier import (
     MonotonicityError,
     SweepRow,
     _audit_order,
-    _undetermined_side,
     bisect_sigma_star,
     classify,
     closest_upper_approach,
@@ -173,11 +172,26 @@ def test_bisect_checks_both_endpoints_in_one_batch(template, ctl, tols):
     assert calls == [[1.0, 2.0], [1.0, 2.0]]
 
 
-def test_undetermined_vote():
-    assert _undetermined_side("-") == "lo"
-    assert _undetermined_side(None) == "lo"
-    assert _undetermined_side("+") == "hi"
-    assert _undetermined_side("-+-") == "hi"
+def test_bisect_undetermined_midpoint_raises(template, ctl, tols):
+    from extremalflow.evolvers import EventKind
+
+    # certified endpoints, then a midpoint that reaches its horizon with a
+    # '+' in its word: no side is certified, so the bisection stops
+    def endpoints(fams, _ctl, _tols, **_):
+        kinds = (EventKind.CONVERGED_LOWER, EventKind.ESCAPED)
+        for i in range(len(fams)):
+            yield i, _FakeTraj(kinds[i])
+
+    midpoint = _FakeTraj(EventKind.HORIZON_REACHED)
+    midpoint.diagnostics = [mock.Mock(sgn_upper="-+-")]
+    with mock.patch("extremalflow.classifier.evolve_batch", side_effect=endpoints), \
+            mock.patch("extremalflow.classifier.evolve", return_value=midpoint):
+        with pytest.raises(
+            ValueError,
+            match=r"^midpoint sigma=1\.5 is Undetermined \(HorizonReached at t=1\); "
+            r"the certified enclosure is \[1\.0, 2\.0\]$",
+        ):
+            bisect_sigma_star(template, 1.0, 2.0, 0.1, ctl, tols)
 
 
 def test_bracket_invariant():
