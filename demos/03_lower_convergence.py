@@ -46,4 +46,4 @@ print(f"\nlargest single-step energy increase: {traj.max_step_energy_increase:.2
 
 out = os.path.join(os.path.dirname(__file__), "output", "lower_run")
 traj.write_outputs(out)
-print(f"snapshots, diagnostics and summary written to {out}/")
+print(f"snapshots and diagnostics written to {out}/")

@@ -15,6 +15,7 @@ from extremalflow import (
     ClassifierTolerances,
     InitialFamily,
     ProblemParams,
+    SgnWord,
     StepControl,
     evolve,
     grim_reaper_dominating_sigma,
@@ -31,7 +32,8 @@ print(f"terminated: {traj.event.kind.value} at t={traj.event.t:.2f} ({traj.event
 print("\n   t    chart  word   Z   tangent_y(P)   length")
 for rec in traj.diagnostics:
     print(f"  {rec.t:4.2f}  {rec.chart:5s}  {rec.sgn_upper or '?':5s} "
-          f"{rec.z_upper or 0:2d}   {rec.tangent_y_P:+.4f}     {rec.L:8.2f}")
+          f"{SgnWord(rec.sgn_upper).z if rec.sgn_upper else 0:2d}   "
+          f"{rec.tangent_y_P:+.4f}     {rec.L:8.2f}")
 
 switches = [
     (rec.t, rec.chart)
@@ -39,5 +41,5 @@ switches = [
     if i == 0 or traj.diagnostics[i - 1].chart != rec.chart
 ]
 print(f"\nchart history: {switches}")
-zs = [rec.z_upper for rec in traj.diagnostics if rec.z_upper is not None]
+zs = [SgnWord(rec.sgn_upper).z for rec in traj.diagnostics if rec.sgn_upper]
 print(f"intersection count along the run: {zs} (never increases)")

@@ -41,7 +41,6 @@ from .analysis import (
     energy,
     intersection_audit,
     intersection_count,
-    lyapunov_graph,
     semi_order,
     sgn_word,
     subword,

@@ -43,8 +43,6 @@ __all__ = [
     "subword",
     "intersection_audit",
     "semi_order",
-    "lyapunov_graph",
-    "graph_length_functional",
     "energy",
     "dissipation_estimate",
     "endpoint_curvature_deviation",
@@ -313,40 +311,14 @@ def semi_order(c1: SampledCurve, c2: SampledCurve, tol: float | None = None) -> 
 class Energy(NamedTuple):
     """Length, enclosed area and ``E = L - A*S`` of a curve.
 
-    ``E`` decreases along any run confined to {y >= 0}; the decrease rate
-    is the curvature dissipation integral.
+    ``E`` is the flow's Lyapunov functional in either chart, and this is
+    its one definition: it decreases along any run confined to {y >= 0},
+    at the rate of the curvature dissipation integral.
     """
 
     L: float
     S: float
     E: float
-
-
-def graph_length_functional(g) -> float:
-    """Arc-length functional of a graph profile by trapezoid quadrature.
-
-    Integrand sqrt(1 + u_x^2) with central differences at interior nodes
-    and one-sided differences at the pinned endpoints.
-    """
-    dx = g.params.dx
-    u = g.u
-    ux = np.empty_like(u)
-    ux[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    ux[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
-    ux[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
-    integrand = np.sqrt(1.0 + ux**2)
-    return float(np.trapezoid(integrand, dx=dx))
-
-
-def lyapunov_graph(g) -> float:
-    """Graph-chart Lyapunov value: arc functional minus A times the area.
-
-    Non-increasing along any graph-chart run of the flow; both integrals
-    use trapezoid quadrature on the profile grid.
-    """
-    dx = g.params.dx
-    area = float(np.trapezoid(g.u, dx=dx))
-    return graph_length_functional(g) - g.params.A * area
 
 
 def energy(c: SampledCurve, A: float) -> Energy:

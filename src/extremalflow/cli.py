@@ -245,10 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_config=True):
+    def common(p):
         p.add_argument(
             "--config",
-            required=need_config,
+            required=True,
             metavar="PATH",
             help="flat key = value configuration file",
         )
@@ -272,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bisect.add_argument("--hi", help="upper bracket endpoint override (number or 'auto')")
     p_bisect.add_argument("--width-tol", type=float, help="bracket width target override")
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
-    common(p_verify, need_config=False)
     p_verify.add_argument("--only", help="comma-separated criterion numbers, e.g. 1,2,10")
+    p_verify.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
 
@@ -290,8 +290,6 @@ def main(argv=None) -> int:
     }
     try:
         if args.command == "verify":
-            if args.config is not None:
-                load_config(args.config, overrides)  # reject invalid configs early
             return cmd_verify(args.only, args.quiet)
         cfg = load_config(args.config, overrides)
         if args.command == "run":

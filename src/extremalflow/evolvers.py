@@ -48,7 +48,6 @@ histories.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,7 +61,6 @@ from .analysis import (
     endpoint_curvature_deviation,
     endpoint_tangents,
     energy,
-    lyapunov_graph,
     word_from_gap,
 )
 from .geometry import (
@@ -222,9 +220,7 @@ class DiagnosticRecord:
     L: float
     S: float
     E: float
-    lyapunov: float
     dissipation: float
-    z_upper: int | None
     sgn_upper: str | None
     kappa_dev_P: float
     tangent_y_P: float
@@ -274,7 +270,7 @@ class Trajectory:
         }
 
     def write_outputs(self, outdir) -> None:
-        """Write snapshot CSVs, the diagnostics CSV and the summary JSON."""
+        """Write the snapshot CSVs and the diagnostics CSV."""
         import glob
         import os
 
@@ -284,17 +280,15 @@ class Trajectory:
         for k, (_t, curve) in enumerate(self.snapshots):
             curve.to_csv(os.path.join(outdir, f"snapshot_{k:04d}.csv"))
         with open(os.path.join(outdir, "diagnostics.csv"), "w", encoding="utf-8") as fh:
-            fh.write("t,L,S,lyapunov,Z,sgn_word,kappa_dev_P,tangent_y_P\n")
+            fh.write("t,L,S,E,Z,sgn_word,kappa_dev_P,tangent_y_P\n")
             for r in self.diagnostics:
-                z = "" if r.z_upper is None else str(r.z_upper)
-                w = "" if r.sgn_upper is None else r.sgn_upper
+                # Z, the intersection count, is the word length plus one
+                w = r.sgn_upper or ""
+                z = str(len(w) + 1) if w else ""
                 fh.write(
-                    f"{r.t:.17g},{r.L:.17g},{r.S:.17g},{r.lyapunov:.17g},"
+                    f"{r.t:.17g},{r.L:.17g},{r.S:.17g},{r.E:.17g},"
                     f"{z},{w},{r.kappa_dev_P:.17g},{r.tangent_y_P:.17g}\n"
                 )
-        with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +426,14 @@ class _GraphChart:
         return steps
 
     def energy(self, X):
-        """Grid quadrature of L - A*S per row, None for a row below the axis;
-        allocates nothing."""
+        """L - A*S per row, None for a row below the axis; allocates nothing.
+
+        This is ``analysis.energy`` of the sampled row in grid form: with
+        uniform x and zero pins the polyline's chord sum is
+        sum sqrt(du^2 + h^2) and its shoelace area is h * sum u.  The grid
+        form is kept because it is the per-step hot path and its bits are
+        those of every recorded ``max_step_energy_increase``.
+        """
         right, left, inner, seg, _ = self._bind(X)
         np.subtract(right, left, out=seg)
         seg *= seg
@@ -448,8 +448,8 @@ class _GraphChart:
         return graph_to_sampled(GraphProfile(self.params, u))
 
     def compare(self, u):
-        """(Lyapunov value, word parameter, gap above the upper equilibrium,
-        distance to the lower one, to the upper one, smallest gap).
+        """(Word parameter, gap above the upper equilibrium, distance to
+        the lower one, to the upper one, smallest gap).
 
         The gap is sampled on a fill grid: a steep profile crosses the
         equilibrium inside a single cell near the pins and node sampling
@@ -466,8 +466,7 @@ class _GraphChart:
         x_fill, upper_fill = self.fill_cache[factor]
         gap = np.interp(x_fill, self.x, u) - upper_fill
         dist_lower = float(np.max(np.abs(u - self.lower)))
-        lyap = lyapunov_graph(GraphProfile(params, u))
-        return lyap, x_fill, gap, dist_lower, float("nan"), float("-inf")
+        return x_fill, gap, dist_lower, float("nan"), float("-inf")
 
     def lost(self, rec) -> bool:
         return False
@@ -598,7 +597,7 @@ class _PolarChart:
         gap = rho[1:-1] - self.upper[1:-1]
         dist_lower = float(np.max(np.abs(rho - self.lower)))
         dist_upper = float(np.max(np.abs(rho - self.upper)))
-        return float("nan"), self.theta[1:-1], gap, dist_lower, dist_upper, float(np.min(gap))
+        return self.theta[1:-1], gap, dist_lower, dist_upper, float(np.min(gap))
 
     def lost(self, rec) -> bool:
         """Endpoint tangent turned outward-horizontal: the chart is failing."""
@@ -1025,21 +1024,18 @@ def _diagnose(chart, s, curve: SampledCurve, t: float):
     L, S, E = energy(curve, A)
     tangents = endpoint_tangents(curve)
     kdev_P = endpoint_curvature_deviation(curve, A)[0]
-    lyap, param, gap_up, dist_lower, dist_upper, min_gap_up = chart.compare(s)
+    param, gap_up, dist_lower, dist_upper, min_gap_up = chart.compare(s)
     try:
-        word = word_from_gap(param, gap_up)
-        letters, z = word.letters, word.z
+        letters = word_from_gap(param, gap_up).letters
     except Unresolvable:
-        letters, z = None, None
+        letters = None
     rec = DiagnosticRecord(
         t=t,
         chart=chart.name,
         L=L,
         S=S,
         E=E,
-        lyapunov=lyap,
         dissipation=dissipation_estimate(curve, A),
-        z_upper=z,
         sgn_upper=letters,
         kappa_dev_P=kdev_P,
         tangent_y_P=float(tangents.at_P[1]),

@@ -331,16 +331,18 @@ def initial_curve(fam: InitialFamily) -> GraphProfile:
 def grim_reaper_dominating_sigma(params: ProblemParams) -> float:
     """Amplitude guaranteeing escape via grim-reaper domination.
 
-    Builds the barrier geometry for the expanding-circle radius R = 2,
+    Builds the barrier geometry for the expanding-circle radius R = 2/A,
     places a grim reaper of width b = 0.9 * 2a/pi (inside the sub-solution
-    range b < 2a/pi) high enough that its center stays above the barrier
-    apex K until the crossing time t*, and returns the smallest family
-    amplitude whose graph strictly dominates the capped reaper at t = 0,
-    scaled by a safety factor of 1.05.
+    range b < 2a/pi) with its center a margin 1/A above the barrier apex K
+    at the crossing time t*, and returns the smallest family amplitude
+    whose graph strictly dominates the capped reaper at t = 0, scaled by a
+    safety factor of 1.05.  The flow is invariant under x -> lx, t -> l^2 t,
+    A -> A/l, and R and the margin scale with 1/A, so the certificate for
+    (A, a) is that for (1, aA) scaled by 1/A: it exists for every A > 0.
     """
     b = 0.9 * 2.0 * params.a / np.pi
-    geom = barrier_geometry(params, 2.0)
-    C = geom.apex_height + geom.crossing_time / b + 1.0
+    geom = barrier_geometry(params, 2.0 / params.A)
+    C = geom.apex_height + geom.crossing_time / b + 1.0 / params.A
     # Dense scan: the binding constraint sits near the reaper's kink where
     # the profile phi is small.
     x = np.linspace(-params.a, params.a, 8001)[1:-1]

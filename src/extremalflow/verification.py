@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -75,96 +76,62 @@ class VerificationContext:
         self.ctl = StepControl.for_params(
             self.params, scheme="semi_implicit", t_max=50.0
         )
-        self._cache = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
 
     def family(self, sigma: float) -> InitialFamily:
         return InitialFamily(self.params, sigma=sigma)
 
+    @cached_property
     def escape_sigma(self) -> float:
-        return self._get("escape_sigma", lambda: grim_reaper_dominating_sigma(self.params))
+        return grim_reaper_dominating_sigma(self.params)
 
+    @cached_property
     def lower_runs(self):
         """Classified runs for sigma in {-1, 0, 0.1} with their wall time."""
+        t0 = time.perf_counter()
+        runs = {s: classify(self.family(s), self.ctl, self.tols) for s in (-1.0, 0.0, 0.1)}
+        return runs, time.perf_counter() - t0
 
-        def build():
-            t0 = time.perf_counter()
-            runs = {
-                s: classify(self.family(s), self.ctl, self.tols)
-                for s in (-1.0, 0.0, 0.1)
-            }
-            return runs, time.perf_counter() - t0
-
-        return self._get("lower_runs", build)
-
+    @cached_property
     def escape_run(self):
-        def build():
-            return classify(self.family(self.escape_sigma()), self.ctl, self.tols)
+        return classify(self.family(self.escape_sigma), self.ctl, self.tols)
 
-        return self._get("escape_run", build)
-
+    @cached_property
     def bracket_201(self):
-        def build():
-            return bisect_sigma_star(
-                self.family(0.0), 0.1, self.escape_sigma(), 0.01, self.ctl, self.tols
-            )
+        return bisect_sigma_star(
+            self.family(0.0), 0.1, self.escape_sigma, 0.01, self.ctl, self.tols
+        )
 
-        return self._get("bracket_201", build)
-
+    @cached_property
     def bracket_101(self):
-        def build():
-            params = ProblemParams(A=1.0, a=0.5, grid_n=101)
-            ctl = StepControl.for_params(params, scheme="semi_implicit", t_max=50.0)
-            fam = InitialFamily(params, sigma=0.0)
-            return bisect_sigma_star(
-                fam, 0.1, grim_reaper_dominating_sigma(params), 0.01, ctl, self.tols
-            )
+        params = ProblemParams(A=1.0, a=0.5, grid_n=101)
+        ctl = StepControl.for_params(params, scheme="semi_implicit", t_max=50.0)
+        fam = InitialFamily(params, sigma=0.0)
+        return bisect_sigma_star(
+            fam, 0.1, grim_reaper_dominating_sigma(params), 0.01, ctl, self.tols
+        )
 
-        return self._get("bracket_101", build)
-
+    @cached_property
     def refined_bracket(self):
         """The 0.01-wide bracket refined to 0.002 for the near-critical run."""
+        br = self.bracket_201
+        return bisect_sigma_star(self.family(0.0), br.lo, br.hi, 0.002, self.ctl, self.tols)
 
-        def build():
-            br = self.bracket_201()
-            return bisect_sigma_star(
-                self.family(0.0), br.lo, br.hi, 0.002, self.ctl, self.tols
-            )
-
-        return self._get("refined_bracket", build)
-
+    @cached_property
     def near_critical_run(self):
-        def build():
-            return critical_run(
-                self.family(self.refined_bracket().midpoint), self.ctl, self.tols
-            )
+        return critical_run(self.family(self.refined_bracket.midpoint), self.ctl, self.tols)
 
-        return self._get("near_critical_run", build)
-
+    @cached_property
     def identity_run(self):
         """Long sigma=0.1 run with fine sampling for the energy identity."""
+        ctl = replace(self.ctl, sample_interval=0.02)
+        tols = ClassifierTolerances(
+            converge=1e-9, escape_gap=1e-3, dissipation=1e-12, t_max=5.2
+        )
+        return evolve(self.family(0.1), ctl, tols)
 
-        def build():
-            ctl = replace(self.ctl, sample_interval=0.02)
-            tols = ClassifierTolerances(
-                converge=1e-9, escape_gap=1e-3, dissipation=1e-12, t_max=5.2
-            )
-            return evolve(self.family(0.1), ctl, tols)
-
-        return self._get("identity_run", build)
-
+    @cached_property
     def comparison_runs(self):
-        def build():
-            return {
-                s: evolve(self.family(s), self.ctl, self.tols)
-                for s in (-0.5, 0.1, 0.5, 1.0)
-            }
-
-        return self._get("comparison_runs", build)
+        return {s: evolve(self.family(s), self.ctl, self.tols) for s in (-0.5, 0.1, 0.5, 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +204,7 @@ def criterion_3(ctx: VerificationContext) -> CriterionResult:
 
 def criterion_4(ctx: VerificationContext) -> CriterionResult:
     """sigma in {-1, 0, 0.1} all converge to the lower equilibrium by t <= 20."""
-    runs, wall = ctx.lower_runs()
+    runs, wall = ctx.lower_runs
     details = []
     ok = wall < 30.0
     for s, (cat, traj) in sorted(runs.items()):
@@ -257,7 +224,7 @@ def criterion_4(ctx: VerificationContext) -> CriterionResult:
 
 def criterion_5(ctx: VerificationContext) -> CriterionResult:
     """The grim-reaper-dominating amplitude escapes with final word '+'."""
-    cat, traj = ctx.escape_run()
+    cat, traj = ctx.escape_run
     word = traj.diagnostics[-1].sgn_upper
     ok = (
         cat is Category.ESCAPE
@@ -268,7 +235,7 @@ def criterion_5(ctx: VerificationContext) -> CriterionResult:
         5,
         "escape above the upper equilibrium",
         ok,
-        f"sigma={ctx.escape_sigma():.1f}: {cat.value} at t={traj.event.t:.2f}, "
+        f"sigma={ctx.escape_sigma:.1f}: {cat.value} at t={traj.event.t:.2f}, "
         f"final word [{word}]",
     )
 
@@ -276,10 +243,10 @@ def criterion_5(ctx: VerificationContext) -> CriterionResult:
 def criterion_6(ctx: VerificationContext) -> CriterionResult:
     """Threshold bracketing, cross-grid agreement, and the near-critical run."""
     t0 = time.perf_counter()
-    br = ctx.bracket_201()
-    br101 = ctx.bracket_101()
+    br = ctx.bracket_201
+    br101 = ctx.bracket_101
     mid_diff = abs(br.midpoint - br101.midpoint)
-    traj = ctx.near_critical_run()
+    traj = ctx.near_critical_run
     closest = closest_upper_approach(traj)
     bar = 10.0 * ctx.tols.converge
     words_ok = True
@@ -313,18 +280,18 @@ def criterion_6(ctx: VerificationContext) -> CriterionResult:
 def criterion_7(ctx: VerificationContext) -> CriterionResult:
     """Energy never rises past the noise floor and dissipates at the stated rate."""
     rises = []
-    runs, _ = ctx.lower_runs()
+    runs, _ = ctx.lower_runs
     for s, (cat, traj) in runs.items():
         rises.append((f"sigma={s}", traj.max_step_energy_increase))
-    _, traj = ctx.escape_run()
+    _, traj = ctx.escape_run
     rises.append(("escape", traj.max_step_energy_increase))
-    rises.append(("near-critical", ctx.near_critical_run().max_step_energy_increase))
-    for it in ctx.bracket_201().iterations + ctx.refined_bracket().iterations:
+    rises.append(("near-critical", ctx.near_critical_run.max_step_energy_increase))
+    for it in ctx.bracket_201.iterations + ctx.refined_bracket.iterations:
         rises.append((f"bisect sigma={it.sigma:.3f}", it.max_energy_rise))
     worst_name, worst_rise = max(rises, key=lambda r: r[1])
     mono_ok = worst_rise <= 1e-7
 
-    run = ctx.identity_run()
+    run = ctx.identity_run
     recs = run.diagnostics
     errs = []
     for r0, r1 in zip(recs, recs[1:]):
@@ -351,16 +318,16 @@ def criterion_7(ctx: VerificationContext) -> CriterionResult:
 def criterion_8(ctx: VerificationContext) -> CriterionResult:
     """Intersection count never increases; words only simplify."""
     bad = []
-    runs, _ = ctx.lower_runs()
+    runs, _ = ctx.lower_runs
     trajs = {f"sigma={s}": traj for s, (_c, traj) in runs.items()}
-    trajs["escape"] = ctx.escape_run()[1]
-    trajs["near-critical"] = ctx.near_critical_run()
-    for s, traj in ctx.comparison_runs().items():
+    trajs["escape"] = ctx.escape_run[1]
+    trajs["near-critical"] = ctx.near_critical_run
+    for s, traj in ctx.comparison_runs.items():
         trajs[f"comparison sigma={s}"] = traj
     for name, traj in trajs.items():
         if not intersection_audit(d.sgn_upper for d in traj.diagnostics):
             bad.append(name)
-    for it in ctx.bracket_201().iterations + ctx.refined_bracket().iterations:
+    for it in ctx.bracket_201.iterations + ctx.refined_bracket.iterations:
         if not it.word_chain_ok:
             bad.append(f"bisect sigma={it.sigma:.3f}")
     ok = not bad
@@ -368,14 +335,14 @@ def criterion_8(ctx: VerificationContext) -> CriterionResult:
         8,
         "intersection-number principle along runs",
         ok,
-        f"{len(trajs) + len(ctx.bracket_201().iterations) + len(ctx.refined_bracket().iterations)}"
+        f"{len(trajs) + len(ctx.bracket_201.iterations) + len(ctx.refined_bracket.iterations)}"
         f" runs audited" + ("" if ok else f"; violations: {bad}"),
     )
 
 
 def criterion_9(ctx: VerificationContext) -> CriterionResult:
     """Ordered initial amplitudes stay pointwise ordered while both run."""
-    runs = ctx.comparison_runs()
+    runs = ctx.comparison_runs
     pairs = [(0.1, 0.5), (0.5, 1.0), (-0.5, 0.5)]
     details = []
     ok = True

@@ -18,6 +18,7 @@ from extremalflow import (
     StepControl,
     advance_graph,
     advance_polar,
+    energy,
     evolve,
     gamma_lower,
     gamma_lower_polar,
@@ -241,6 +242,11 @@ def test_tracker_energy_matches_reference_expressions(n, seed):
         u = rng.uniform(0.0, 1.0, params.grid_n) * rng.uniform(0.01, 5.0)
         expected = float(np.sqrt(h**2 + np.diff(u) ** 2).sum()) - A * float(h * u[1:-1].sum())
         assert graph.energy(u[None]) == [expected]
+        # both trackers are the one energy E = L - A*S of the sampled curve
+        rho[[0, -1]], u[[0, -1]] = params.a, 0.0  # a profile is pinned
+        for chart, s in ((polar, rho), (graph, u)):
+            E = energy(chart.sample(s), A).E
+            assert chart.energy(s[None])[0] == pytest.approx(E, rel=1e-12)
         u[rng.integers(1, params.grid_n - 1)] = -1e-3
         assert graph.energy(u[None]) == [None]
 
@@ -510,12 +516,16 @@ def test_trajectory_outputs(tmp_path, params, semi):
     out = tmp_path / "run"
     traj.write_outputs(out)
     files = sorted(f.name for f in out.iterdir())
-    assert "diagnostics.csv" in files and "summary.json" in files
-    assert sum(f.startswith("snapshot_") for f in files) == len(traj.snapshots)
-    header = (out / "diagnostics.csv").read_text().splitlines()[0]
-    assert header == "t,L,S,lyapunov,Z,sgn_word,kappa_dev_P,tangent_y_P"
-    import json
-
-    summary = json.loads((out / "summary.json").read_text())
+    snapshots = [f"snapshot_{k:04d}.csv" for k in range(len(traj.snapshots))]
+    assert files == ["diagnostics.csv", *snapshots]
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "t,L,S,E,Z,sgn_word,kappa_dev_P,tangent_y_P"
+    assert len(lines) == len(traj.diagnostics) + 1
+    for line, rec in zip(lines[1:], traj.diagnostics):
+        E, Z, word = line.split(",")[3:6]
+        assert float(E) == rec.E and np.isfinite(rec.E)
+        assert word == (rec.sgn_upper or "")
+        assert Z == (str(len(word) + 1) if word else "")
+    summary = traj.summary_dict()
     assert summary["event"] == "ConvergedLower"
     assert summary["final_sgn"] == "-"

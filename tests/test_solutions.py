@@ -259,11 +259,17 @@ def test_family_shape_validation(params):
     assert fam.with_sigma(2.0).sigma == 2.0
 
 
-def test_dominating_amplitude_dominates_reaper(params):
-    sigma = grim_reaper_dominating_sigma(params)
-    b = 0.9 * 2 * params.a / np.pi
-    geom = barrier_geometry(params, 2.0)
-    C = geom.apex_height + geom.crossing_time / b + 1.0
-    reaper = grim_reaper_subsolution(params, b, C, 0.0)
-    fam = initial_curve(InitialFamily(params, sigma=sigma))
-    assert np.all(fam.u[1:-1] > reaper.y[1:-1])
+def test_dominating_amplitude_dominates_reaper():
+    # (0.4, 1.0) needs the radius 2/A: a fixed R = 2 is not above 1/A there
+    for A, a in [(1.0, 0.5), (0.4, 1.0), (2.0, 0.4)]:
+        params = ProblemParams(A=A, a=a, grid_n=201)
+        sigma = grim_reaper_dominating_sigma(params)
+        b = 0.9 * 2 * params.a / np.pi
+        geom = barrier_geometry(params, 2.0 / A)
+        C = geom.apex_height + geom.crossing_time / b + 1.0 / A
+        reaper = grim_reaper_subsolution(params, b, C, 0.0)
+        fam = initial_curve(InitialFamily(params, sigma=sigma))
+        assert np.all(fam.u[1:-1] > reaper.y[1:-1])
+        # scale invariance x -> x/A, t -> t/A^2 maps (A, a) to (1, aA)
+        unit = grim_reaper_dominating_sigma(ProblemParams(A=1.0, a=a * A, grid_n=201))
+        assert sigma == pytest.approx(unit / A, rel=1e-12)
