@@ -237,7 +237,7 @@ def word_from_gap(param: np.ndarray, gap: np.ndarray, tol: float | None = None) 
     if runs and runs[-1][0] == 0:
         runs = runs[:-1]
 
-    coincide_len = tol if tol is not None else 3.0 * float(np.median(np.diff(param)))
+    coincide_len = 3.0 * float(np.median(np.diff(param)))
     for sign, s, e in runs:
         if sign == 0:
             seg = np.abs(gap[s:e])

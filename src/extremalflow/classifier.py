@@ -16,7 +16,7 @@ outcome is bitwise that of its own ``classify``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 from .analysis import intersection_audit
@@ -103,6 +103,11 @@ class SweepRow:
     t_event: float
     final_sgn: str | None
 
+    @classmethod
+    def of(cls, sigma: float, category: Category, traj: Trajectory, **more):
+        """The row of a classified run; ``more`` holds a subclass's fields."""
+        return cls(sigma, category, traj.event.t, traj.diagnostics[-1].sgn_upper, **more)
+
 
 def sweep(
     template: InitialFamily,
@@ -114,19 +119,14 @@ def sweep(
 
     All amplitudes step together in one ``(K, n)`` state, each exactly as
     its own ``classify`` would.  A member keeps only its latest sample
-    while it runs and only its row once it has finished.  Rows come back in input order.  Any lower-convergence above
-    an escape contradicts the comparison principle and raises
-    ``MonotonicityError``.
+    while it runs and only its row once it has finished.  Rows come back in
+    input order.  Any lower-convergence above an escape contradicts the
+    comparison principle and raises ``MonotonicityError``.
     """
     sigmas = list(sigmas)
     rows = [None] * len(sigmas)
     for i, cat, traj in _classify_batch(template, sigmas, ctl, tols):
-        rows[i] = SweepRow(
-            sigma=sigmas[i],
-            category=cat,
-            t_event=traj.event.t,
-            final_sgn=traj.diagnostics[-1].sgn_upper,
-        )
+        rows[i] = SweepRow.of(sigmas[i], cat, traj)
     _audit_order(rows)
     return rows
 
@@ -143,13 +143,9 @@ def _audit_order(rows) -> None:
 
 
 @dataclass(frozen=True)
-class BisectStep:
-    """One midpoint evaluation: what it classified as and which side moved."""
+class BisectStep(SweepRow):
+    """One midpoint evaluation: its sweep row, the side it moved and its audits."""
 
-    sigma: float
-    category: Category
-    t_event: float
-    final_sgn: str | None
     side: str
     max_energy_rise: float
     word_chain_ok: bool
@@ -185,27 +181,13 @@ class Bracket:
         return 0.5 * (self.lo + self.hi)
 
     def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "width": self.width,
-            "midpoint": self.midpoint,
-            "lo_category": self.lo_category.value,
-            "hi_category": self.hi_category.value,
-            "grid_n": self.grid_n,
-            "iterations": [
-                {
-                    "sigma": it.sigma,
-                    "category": it.category.value,
-                    "t_event": it.t_event,
-                    "final_sgn": it.final_sgn,
-                    "side": it.side,
-                    "max_energy_rise": it.max_energy_rise,
-                    "word_chain_ok": it.word_chain_ok,
-                }
-                for it in self.iterations
-            ],
-        }
+        """The fields, categories written by value, plus width and midpoint."""
+        payload = asdict(self, dict_factory=_by_value)
+        return {**payload, "width": self.width, "midpoint": self.midpoint}
+
+
+def _by_value(items) -> dict:
+    return {key: val.value if isinstance(val, Enum) else val for key, val in items}
 
 
 def bisect_sigma_star(
@@ -251,16 +233,13 @@ def bisect_sigma_star(
         else:  # a ConvergeUpper midpoint sits on the separatrix itself; shrink from above
             side, hi, cat_hi = "hi", mid, cat
         log.append(
-            BisectStep(
-                sigma=mid,
-                category=cat,
-                t_event=traj.event.t,
-                final_sgn=traj.diagnostics[-1].sgn_upper,
+            BisectStep.of(
+                mid,
+                cat,
+                traj,
                 side=side,
                 max_energy_rise=traj.max_step_energy_increase,
-                word_chain_ok=intersection_audit(
-                    d.sgn_upper for d in traj.diagnostics
-                ),
+                word_chain_ok=intersection_audit(d.sgn_upper for d in traj.diagnostics),
             )
         )
 

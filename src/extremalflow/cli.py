@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from .classifier import (
     Category,
@@ -29,44 +29,36 @@ from .verification import CRITERIA, run_all
 
 __all__ = ["RunConfig", "load_config", "main"]
 
-# Every key with its default; a value read from a file takes the type of
-# its default: float, int (grid_n) or str.
-_DEFAULTS = {
-    "A": 1.0,
-    "a": 0.5,
-    "grid_n": 201,
-    "phi": "cos",
-    "sigma": 0.1,
-    "scheme": "semi_implicit",
-    "cfl": 0.2,
-    "t_max": 50.0,
-    "sample_interval": 0.1,
-    "converge": 1e-3,
-    "escape_gap": 1e-3,
-    "dissipation": 1e-4,
-    "out_dir": "runs/out",
-    "sigmas": "",
-    "bisect_lo": 0.1,
-    "bisect_hi": "auto",
-    "width_tol": 0.01,
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration for one invocation."""
+    """Validated configuration for one invocation.
 
-    values: dict = field(default_factory=lambda: dict(_DEFAULTS))
+    Each field is a config key with its default; a value read from a file
+    takes the type of its default: float, int (grid_n) or str.
+    """
 
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key)
+    A: float = 1.0
+    a: float = 0.5
+    grid_n: int = 201
+    phi: str = "cos"
+    sigma: float = 0.1
+    scheme: str = "semi_implicit"
+    cfl: float = 0.2
+    t_max: float = 50.0
+    sample_interval: float = 0.1
+    converge: float = 1e-3
+    escape_gap: float = 1e-3
+    dissipation: float = 1e-4
+    out_dir: str = "runs/out"
+    sigmas: str = ""
+    bisect_lo: float = 0.1
+    bisect_hi: str = "auto"
+    width_tol: float = 0.01
 
     def params(self) -> ProblemParams:
         return ProblemParams(A=self.A, a=self.a, grid_n=self.grid_n)
@@ -110,8 +102,11 @@ class RunConfig:
             raise ConfigError(f"bisect_hi must be a number or 'auto', got {raw!r}") from exc
 
 
+_KINDS = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
 def _coerce(key: str, raw: str):
-    kind = type(_DEFAULTS[key])
+    kind = _KINDS[key]
     if kind is str:
         return raw
     try:
@@ -123,7 +118,7 @@ def _coerce(key: str, raw: str):
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Parse a flat key = value file and apply command-line overrides."""
-    values = dict(_DEFAULTS)
+    values = {}
     if path is not None:
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
@@ -135,13 +130,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 if "=" not in text:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, raw = (part.strip() for part in text.split("=", 1))
-                if key not in values:
+                if key not in _KINDS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _coerce(key, raw)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            values[key] = val
-    cfg = RunConfig(values)
+    values.update((key, val) for key, val in (overrides or {}).items() if val is not None)
+    cfg = RunConfig(**values)
     try:
         cfg.params()
         cfg.step_control()
@@ -204,13 +197,7 @@ def cmd_bisect(cfg: RunConfig, quiet: bool) -> int:
     )
     out = cfg.out_dir
     payload = bracket.to_dict()
-    payload["tolerances"] = {
-        "converge": cfg.converge,
-        "escape_gap": cfg.escape_gap,
-        "dissipation": cfg.dissipation,
-        "t_max": cfg.t_max,
-        "width_tol": cfg.width_tol,
-    }
+    payload["tolerances"] = {**asdict(cfg.tolerances()), "width_tol": cfg.width_tol}
     _json_dump(payload, os.path.join(out, "bracket.json"))
     if not quiet:
         print(
@@ -252,9 +239,9 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             help="flat key = value configuration file",
         )
-        p.add_argument("--out", metavar="DIR", help="output directory override")
+        p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory override")
         p.add_argument("--sigma", type=float, help="amplitude override")
-        p.add_argument("--grid", type=int, help="grid_n override")
+        p.add_argument("--grid", type=int, dest="grid_n", metavar="GRID", help="grid_n override")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p_run = sub.add_parser("run", help="evolve one amplitude and write artifacts")
@@ -268,8 +255,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_bisect = sub.add_parser("bisect", help="bracket the critical amplitude")
     common(p_bisect)
-    p_bisect.add_argument("--lo", type=float, help="lower bracket endpoint override")
-    p_bisect.add_argument("--hi", help="upper bracket endpoint override (number or 'auto')")
+    p_bisect.add_argument(
+        "--lo", type=float, dest="bisect_lo", metavar="LO", help="lower bracket endpoint override"
+    )
+    p_bisect.add_argument(
+        "--hi", dest="bisect_hi", metavar="HI",
+        help="upper bracket endpoint override (number or 'auto')",
+    )
     p_bisect.add_argument("--width-tol", type=float, help="bracket width target override")
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
     p_verify.add_argument("--only", help="comma-separated criterion numbers, e.g. 1,2,10")
@@ -279,18 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "out_dir": getattr(args, "out", None),
-        "sigma": getattr(args, "sigma", None),
-        "grid_n": getattr(args, "grid", None),
-        "sigmas": getattr(args, "sigmas", None),
-        "bisect_lo": getattr(args, "lo", None),
-        "bisect_hi": getattr(args, "hi", None),
-        "width_tol": getattr(args, "width_tol", None),
-    }
     try:
         if args.command == "verify":
             return cmd_verify(args.only, args.quiet)
+        # each override flag stores under its config key
+        overrides = {key: val for key, val in vars(args).items() if key in _KINDS}
         cfg = load_config(args.config, overrides)
         if args.command == "run":
             return cmd_run(cfg, args.quiet)

@@ -135,14 +135,15 @@ class StepControl:
     ``scheme`` selects 'explicit' Euler or the 'semi_implicit'
     linearized-diffusion variant.  An explicit ``dt`` must satisfy
     dt <= cfl * dx^2 on the graph grid it steps; that grid is known only
-    when stepping starts, so the graph chart checks it there.
+    when stepping starts, so the graph chart checks it there.  Build one
+    with ``for_params``, which states the defaults.
     """
 
     dt: float
-    cfl: float = 0.2
-    t_max: float = 50.0
-    scheme: str = "explicit"
-    sample_interval: float = 0.1
+    cfl: float
+    t_max: float
+    scheme: str
+    sample_interval: float
 
     def __post_init__(self):
         if self.scheme not in ("explicit", "semi_implicit"):
@@ -300,20 +301,20 @@ class _EnergyTracker:
     """Largest single-step rise of E = L - A*S along a run.
 
     Only states confined to {y >= -1e-9} participate; a chart switch or an
-    excursion below the axis (an energy of None) re-baselines the tracker.
+    excursion below the axis (an energy of NaN) re-baselines the tracker:
+    a difference with a NaN is NaN, and a NaN never wins ``max``.
     """
 
     __slots__ = ("prev", "max_rise")
 
     def __init__(self):
-        self.prev, self.max_rise = None, float("-inf")
+        self.prev, self.max_rise = float("nan"), float("-inf")
 
     def reset(self):
-        self.prev = None
+        self.prev = float("nan")
 
-    def push(self, E: float | None):
-        if E is not None and self.prev is not None:
-            self.max_rise = max(self.max_rise, E - self.prev)
+    def push(self, E: float):
+        self.max_rise = max(self.max_rise, E - self.prev)
         self.prev = E
 
 
@@ -426,7 +427,7 @@ class _GraphChart:
         return steps
 
     def energy(self, X):
-        """L - A*S per row, None for a row below the axis; allocates nothing.
+        """L - A*S per row, NaN for a row below the axis; allocates nothing.
 
         This is ``analysis.energy`` of the sampled row in grid form: with
         uniform x and zero pins the polyline's chord sum is
@@ -442,7 +443,8 @@ class _GraphChart:
         S = _sum(inner, 1).tolist()
         low = _min(X, 1).tolist()
         A, h = self.A, self.h
-        return [None if lo < -AXIS_TOL else l - A * (h * s) for lo, l, s in zip(low, L, S)]
+        nan = float("nan")
+        return [nan if lo < -AXIS_TOL else l - A * (h * s) for lo, l, s in zip(low, L, S)]
 
     def sample(self, u) -> SampledCurve:
         return graph_to_sampled(GraphProfile(self.params, u))
@@ -951,7 +953,7 @@ class _Run:
             snapshots=self.snapshots,
             diagnostics=self.diagnostics,
             event=self.event,
-            max_step_energy_increase=self.tracker.max_rise,
+            max_step_energy_increase=self.tracker.max_rise if self.history else float("nan"),
         )
 
 
@@ -961,10 +963,11 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     Yields ``(i, trajectory)`` for ``fams[i]`` as each member finishes, so
     that a caller can drop what it does not keep.  With ``history`` false
     a member keeps only its latest sample (snapshot and diagnostics
-    record), so that a long batch holds K states, not K histories.  Every
-    member follows ``evolve`` exactly, bitwise: all sample on the
-    ``ctl.sample_interval`` cadence, each with its own time, steps, energy
-    tracker and event.
+    record), so that a long batch holds K states, not K histories, and
+    records no per-step energy: its ``max_step_energy_increase`` is NaN,
+    "not recorded".  Every member follows ``evolve`` exactly, bitwise: all
+    sample on the ``ctl.sample_interval`` cadence, each with its own time,
+    steps, energy tracker and event.
     Between samples the graph-chart members are advanced as one
     ``(k, n)`` state and then the polar-chart ones, so that a member
     handed off mid-interval finishes the interval in the polar chart.
@@ -997,7 +1000,7 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
                 S = np.array([run.s for run in group])
                 t, status = _advance(
                     S, chart, [run.t for run in group], [run.t_next for run in group], ctl,
-                    [run.tracker for run in group],
+                    [run.tracker for run in group] if history else None,
                     [run.abort for run in group] if chart is graph else None,
                 )
                 for run, s, t_run, st in zip(group, S, t, status):

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .analysis import SgnWord, intersection_audit, subword
+from .analysis import SgnWord, gap_profile, intersection_audit, subword
 from .classifier import (
     Category,
     bisect_sigma_star,
@@ -341,7 +341,11 @@ def criterion_8(ctx: VerificationContext) -> CriterionResult:
 
 
 def criterion_9(ctx: VerificationContext) -> CriterionResult:
-    """Ordered initial amplitudes stay pointwise ordered while both run."""
+    """Ordered initial amplitudes stay pointwise ordered while both run.
+
+    Each pair of samples is compared as curves, through ``gap_profile``,
+    so that samples in different charts are compared at the same points.
+    """
     runs = ctx.comparison_runs
     pairs = [(0.1, 0.5), (0.5, 1.0), (-0.5, 0.5)]
     details = []
@@ -353,7 +357,7 @@ def criterion_9(ctx: VerificationContext) -> CriterionResult:
         for (t1, c1), (t2, c2) in zip(tl.snapshots, th.snapshots):
             if t1 > t_alive + 1e-9:
                 break
-            worst = min(worst, float(np.min(c2.y[1:-1] - c1.y[1:-1])))
+            worst = min(worst, float(np.min(gap_profile(c2, c1).gap)))
         good = worst > -1e-9
         ok = ok and good
         details.append(f"({lo_s},{hi_s}): min gap {worst:.2e}")

@@ -22,6 +22,7 @@ from extremalflow import (
     sgn_word,
     subword,
 )
+from extremalflow.analysis import word_from_gap
 from extremalflow.evolvers import StepControl, advance_graph
 
 from conftest import pinned_curve
@@ -96,6 +97,16 @@ def test_coincident_curves_unresolvable(params):
     base = pinned_curve(x, 0.3 * np.cos(np.pi * x))
     with pytest.raises(Unresolvable):
         sgn_word(base, base)
+
+
+def test_coincidence_length_does_not_depend_on_tolerance():
+    # the gap vanishes exactly over [0.3, 0.5], far longer than three node
+    # spacings; a gap tolerance is no length and must not widen that bound
+    param = np.linspace(0.0, 1.0, 101)[1:-1]
+    gap = np.where(param < 0.3, 1.0, np.where(param > 0.5, -1.0, 0.0))
+    for tol in (None, 0.1, 0.5):
+        with pytest.raises(Unresolvable):
+            word_from_gap(param, gap, tol)
 
 
 def test_tangential_contact_collapses(params):

@@ -1,8 +1,10 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from extremalflow import cli
 from extremalflow.cli import ConfigError, load_config, main
 
 
@@ -76,6 +78,21 @@ def test_sigma_list_parsing(tmp_path):
     assert cfg.sigma_list() == [-1.0, 0.0, 0.1]
     with pytest.raises(ConfigError):
         load_config(None).sigma_list()  # empty by default
+
+
+def test_override_flags_set_their_keys(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    seen = []
+    for name in ("cmd_sweep", "cmd_bisect"):
+        monkeypatch.setattr(cli, name, lambda c, quiet: seen.append(c) or 0)
+    common = ["--config", cfg, "--out", "o", "--sigma", "0.7", "--grid", "41"]
+    assert main(["sweep", *common, "--sigmas=-1,2"]) == 0
+    assert main(["bisect", *common, "--lo", "3", "--hi", "3.6", "--width-tol", "0.2"]) == 0
+    base = replace(load_config(cfg), out_dir="o", sigma=0.7, grid_n=41)
+    assert seen == [
+        replace(base, sigmas="-1,2"),
+        replace(base, bisect_lo=3.0, bisect_hi="3.6", width_tol=0.2),
+    ]
 
 
 # --- commands ---------------------------------------------------------------------
