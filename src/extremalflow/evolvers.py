@@ -23,6 +23,11 @@ The loop advances a batch: a (K, n) state, one row per member, each row
 with its own time, step size, step count and energy tracker.  A row that
 reaches its end idles outside the batch, which is packed to the rows
 still stepping, so every numpy call is shared by all members in step.
+The energy E = L - A*S of each step is evaluated per chunk: the stepped
+states are copied into a history buffer of the chart and ``energy`` runs
+once on all buffered rows every ``ENERGY_CHUNK`` steps and whenever the
+batch is packed.  ``energy`` is row-wise, so each E is bitwise the one
+of its step evaluated alone.
 The K tridiagonal systems of a semi-implicit step go to one LAPACK
 ``gtsv`` call as a block-diagonal system with zero coupling entries; the
 matrix is diagonally dominant, so gtsv never swaps rows, a zero
@@ -111,6 +116,8 @@ STEP_FRACTION = 0.05
 # Graph slope past which a sample hands the curve to the polar chart; the
 # polar chart hands it back below half of it.
 SLOPE_SWITCH = 10.0
+# Steps whose states are buffered per evaluation of the tracked energy.
+ENERGY_CHUNK = 64
 
 # The reductions of the stepping loop, called as ufunc methods: the same
 # arithmetic as ndarray.max() and friends without their Python wrapper.
@@ -119,6 +126,12 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 # ufunc takes one in about 0.3 us and a Python float in about 0.45 us,
 # for the same arithmetic.
 _ONE, _TWO, _TINY = np.array(1.0), np.array(2.0), np.array(1e-300)
+_NO_ROWS = np.empty((0, 0))
+
+
+def _grown(buf, k, m):
+    """``buf`` if it has k rows of m entries or more rows, else a new (k, m) array."""
+    return buf if len(buf) >= k and buf.shape[1] == m else np.empty((k, m))
 
 
 class BlowupError(RuntimeError):
@@ -300,6 +313,8 @@ class Trajectory:
 class _EnergyTracker:
     """Largest single-step rise of E = L - A*S along a run.
 
+    The energies of a chunk of steps arrive together, in time order, and
+    are folded in one by one, so the result is that of a per-step update.
     Only states confined to {y >= -1e-9} participate; a chart switch or an
     excursion below the axis (an energy of NaN) re-baselines the tracker:
     a difference with a NaN is NaN, and a NaN never wins ``max``.
@@ -313,9 +328,12 @@ class _EnergyTracker:
     def reset(self):
         self.prev = float("nan")
 
-    def push(self, E: float):
-        self.max_rise = max(self.max_rise, E - self.prev)
-        self.prev = E
+    def extend(self, Es):
+        prev, rise = self.prev, self.max_rise
+        for E in Es:
+            rise = max(rise, E - prev)
+            prev = E
+        self.prev, self.max_rise = prev, rise
 
 
 class _GraphChart:
@@ -344,22 +362,19 @@ class _GraphChart:
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
         self.h2, self.A0 = np.array(h**2), np.array(A)
         self.fill_cache = {}
-        self._X = None
+        self._X, self._seg, self.history = None, _NO_ROWS, _NO_ROWS
         if params is not None:
             self.x, self.lower = params.x_nodes(), gamma_lower(params).u
             self.depth_scale = max(params.center_offset, 0.05 * params.a)
             self.abort_slope = max(2.0 * SLOPE_SWITCH, 0.5 * np.sqrt(2.0 / (A * h)))
             self.s_min = SLOPE_SWITCH * h
 
-    def _bind(self, X):
-        """(Nodes 1.., nodes ..-2, interior, energy buffer, rows) of the
-        batch X, rebuilt only when X changes (a new advance, or a packed
-        batch)."""
+    def _rows(self, X):
+        """The rows of the batch X as a list, rebuilt only when X changes
+        (a new advance, or a packed batch)."""
         if X is not self._X:
-            k, n = X.shape
-            self._X = X
-            self._at = X[:, 1:], X[:, :-1], X[:, 1:-1], np.empty((k, n - 1)), list(X)
-        return self._at
+            self._X, self._us = X, list(X)
+        return self._us
 
     def prepare(self, ctl: StepControl, K: int):
         self.dt_base = ctl.dt
@@ -387,7 +402,7 @@ class _GraphChart:
             # the foot steepening is exponential in time, so the handoff
             # threshold must be watched every step
             np.abs(d1, out=W)
-            us, s_min = self._bind(X)[4], self.s_min  # the rows of X
+            us, s_min = self._rows(X), self.s_min
             # cheap screen first: no row too steep, no foot node above s_min
             near = _max(W, None) > self.abort_slope
             for u in us:
@@ -427,20 +442,22 @@ class _GraphChart:
         return steps
 
     def energy(self, X):
-        """L - A*S per row, NaN for a row below the axis; allocates nothing.
+        """L - A*S per row, NaN for a row below the axis.
 
         This is ``analysis.energy`` of the sampled row in grid form: with
         uniform x and zero pins the polyline's chord sum is
         sum sqrt(du^2 + h^2) and its shoelace area is h * sum u.  The grid
-        form is kept because it is the per-step hot path and its bits are
+        form is kept because it is the tracker's hot path and its bits are
         those of every recorded ``max_step_energy_increase``.
         """
-        right, left, inner, seg, _ = self._bind(X)
-        np.subtract(right, left, out=seg)
+        k, n = X.shape
+        self._seg = _grown(self._seg, k, n - 1)
+        seg = self._seg[:k]
+        np.subtract(X[:, 1:], X[:, :-1], out=seg)
         seg *= seg
         seg += self.h2
         L = _sum(np.sqrt(seg, out=seg), 1).tolist()
-        S = _sum(inner, 1).tolist()
+        S = _sum(X[:, 1:-1], 1).tolist()
         low = _min(X, 1).tolist()
         A, h = self.A, self.h
         nan = float("nan")
@@ -519,23 +536,24 @@ class _PolarChart:
         self.h, self.A, self.pin, self.params = h, A, pin, params
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
         self.A0 = np.array(A)
-        self._k = None
+        self._k, self.history = 0, _NO_ROWS
         if params is not None:
             self.theta = params.theta_nodes()
             self.lower, self.upper = gamma_lower_polar(params).rho, gamma_upper(params).rho
             self.cos, self.sin = np.cos(self.theta), np.sin(self.theta)
 
     def _buffers(self, k):
-        """cos and sin tiled to k rows (a broadcast costs more) and the
-        energy buffers for k rows, rebuilt only when k changes."""
-        if k != self._k:
+        """cos and sin tiled to k rows and the energy buffers for k rows:
+        the leading rows of buffers rebuilt only when more rows are needed."""
+        if k > self._k:
             n = len(self.cos)
             self._k = k
             self._at = (
                 np.tile(self.cos, (k, 1)), np.tile(self.sin, (k, 1)),
                 np.empty((k, n)), np.empty((k, n)), np.empty((2, k, n - 1)), np.empty((k, n - 1)),
             )
-        return self._at
+        cos, sin, xs, ys, terms, q = self._at
+        return cos[:k], sin[:k], xs[:k], ys[:k], terms[:, :k], q[:k]
 
     def prepare(self, ctl: StepControl, K: int):
         self.explicit = ctl.scheme == "explicit"
@@ -710,7 +728,14 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
     flagged row stops 'steep'.  Each row takes its own steps of its own
     size.  A row that has reached its end or stopped leaves the batch,
     which is then packed into fewer rows, so an idle row takes no step
-    and pushes no energy.
+    and records no energy.
+
+    With trackers, the state after step j of the packed batch's row i is
+    copied to row j * nk + i of the chart's history buffer; the chart's
+    ``energy`` evaluates the buffered rows when ``ENERGY_CHUNK`` steps
+    are buffered and before the batch is packed, and each tracker takes
+    its row's energies in time order.  Every energy is bitwise that of
+    its step evaluated alone, and every tracker is up to date on return.
     Returns (t, status), lists of K entries with status 'ok', 'blown', or
     'steep' (the graph steepened past its abort slope; the caller should
     hand off to the polar chart).  A row whose step size is not positive
@@ -719,8 +744,9 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
 
     The semi-implicit scheme treats lap / M implicitly with M frozen and
     moves the pinned values to the right-hand side; the rows' systems go
-    to one block-diagonal gtsv call.  Buffers are allocated each time the
-    batch is packed.
+    to one block-diagonal gtsv call.  Stepping buffers are allocated each
+    time the batch is packed; the history buffer grows only when more rows
+    are needed.
     """
     K, n = S.shape
     m, pin = n - 2, chart.pin
@@ -737,6 +763,9 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
         times, ends = [t[row] for row in rows], [t_end[row] for row in rows]
         stops, new = [e - 1e-14 for e in ends], [0.0] * nk
         tracked = None if trackers is None else [trackers[row] for row in rows]
+        if tracked is not None:
+            chart.history = _grown(chart.history, ENERGY_CHUNK * nk, n)
+            H, j = chart.history[: ENERGY_CHUNK * nk].reshape(ENERGY_CHUNK, nk, n), 0
         lo, inner, hi = X[:, :-2], X[:, 1:-1], X[:, 2:]  # views: they follow in-place updates
         d1, M, F, rhs, W, r = np.empty((6, nk, m))  # r = dt / (h^2 M)
         if not explicit:
@@ -782,11 +811,16 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
                 inner[...] = F
             times, new = new, times
             if tracked is not None:
-                for tracker, E in zip(tracked, chart.energy(X)):
-                    tracker.push(E)
+                H[j] = X
+                j += 1
+                if j == ENERGY_CHUNK:
+                    _track(chart, H, j, tracked)
+                    j = 0
             if done:
                 leaving = done
                 break
+        if tracked is not None and j:
+            _track(chart, H, j, tracked)
         for i, row in enumerate(rows):
             if i in leaving:
                 status[row] = leaving[i]
@@ -797,6 +831,14 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
         if rows:
             X = S[rows]
     return t, status
+
+
+def _track(chart, H, j, trackers):
+    """Fold the energies of the first j buffered steps into the trackers."""
+    nk, n = H.shape[1:]
+    Es = chart.energy(H[:j].reshape(j * nk, n))
+    for i, tracker in enumerate(trackers):
+        tracker.extend(Es[i::nk])
 
 
 def advance_graph(g: GraphProfile, ctl: StepControl, t_end: float) -> GraphProfile:
@@ -925,12 +967,13 @@ class _Run:
         self.abort, self.tracker, self.history = True, _EnergyTracker(), history
         self.snapshots, self.diagnostics, self.event = [], [], None
 
-    def switch(self, s):
-        self.chart, self.s = self.chart.other, s
+    def switch(self, chart, s):
+        self.chart, self.s = chart, s
         self.tracker.reset()
 
-    def sample(self, ctl, tols, horizon):
-        """Record a sample; then fire an event, or switch charts and set the next sample time."""
+    def sample(self, ctl, tols, horizon, other):
+        """Record a sample; then fire an event, or switch to the ``other``
+        chart and set the next sample time."""
         chart = self.chart
         curve = chart.sample(self.s)
         rec, min_gap_up = _diagnose(chart, self.s, curve, self.t)
@@ -943,7 +986,7 @@ class _Run:
         if self.event is None:
             switched = chart.leave(curve, self.s)
             if switched is not None:
-                self.switch(switched)
+                self.switch(other, switched)
             self.t_next = min(self.t + ctl.sample_interval, horizon)
 
     def trajectory(self) -> Trajectory:
@@ -980,7 +1023,6 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
         raise ValueError("the members of a batch must share their ProblemParams")
     graph = _GraphChart(params.dx, A, params)
     polar = _PolarChart(params.dtheta, A, params.a, params)
-    graph.other, polar.other = polar, graph
     horizon = min(ctl.t_max, tols.t_max)
 
     runs = [
@@ -988,7 +1030,7 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     ]
     while runs:
         for run in runs:
-            run.sample(ctl, tols, horizon)
+            run.sample(ctl, tols, horizon, polar if run.chart is graph else graph)
         for chart in (graph, polar):
             while True:
                 group = [
@@ -1014,7 +1056,7 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
                         if switched is None:
                             run.abort = False
                         else:
-                            run.switch(switched)
+                            run.switch(polar, switched)
         for run in runs:
             if run.event is not None:
                 yield run.index, run.trajectory()

@@ -251,6 +251,14 @@ def test_tracker_energy_matches_reference_expressions(n, seed):
         u[rng.integers(1, params.grid_n - 1)] = -1e-3
         (below,) = graph.energy(u[None])
         assert np.isnan(below)
+    # a stack of rows gets each row's own bits; 5 rows after 9 would show
+    # a stale larger buffer
+    for j in (9, 5):
+        rhos = rng.uniform(0.05, 2.0, (j, params.grid_n))
+        us = rng.uniform(-0.01, 1.0, (j, params.grid_n))
+        for chart, stack in ((polar, rhos), (graph, us)):
+            alone = [chart.energy(row[None])[0].hex() for row in stack]
+            assert [E.hex() for E in chart.energy(stack)] == alone
 
 
 # --- sustained advancement -----------------------------------------------------------
@@ -457,6 +465,44 @@ def test_blown_member_leaves_the_others_alone(monkeypatch):
     assert done[1].event.kind is EventKind.BLOWUP and len(done[1].diagnostics) == 2
     for i in (0, 2, 3):
         _assert_same_run(done[i], alone[sigmas[i]])
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chunked_energy_audit_matches_per_step(monkeypatch, chunk):
+    # a chunk of 1 evaluates the energy after every step; 3 flushes
+    # mid-interval and partly filled at each interval's end, and the batch
+    # members finish, abort steep and switch charts at different steps
+    sigmas = [0.1, 2.9, 10.0, -1.0, 0.5]
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
+    default = {s: _alone(s).max_step_energy_increase.hex() for s in sigmas}
+    monkeypatch.setattr(evolvers, "ENERGY_CHUNK", chunk)
+    for s in _PATHS:
+        traj = evolve(InitialFamily(_BATCH_PARAMS, sigma=s), _BATCH_CTL, _BATCH_TOLS)
+        assert traj.max_step_energy_increase.hex() == default[s]
+    done = dict(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
+    assert len({len(done[i].diagnostics) for i in done}) > 1  # finished apart
+    for i, s in enumerate(sigmas):
+        assert done[i].max_step_energy_increase.hex() == default[s]
+
+
+def test_evolve_leaves_no_reference_cycles():
+    # the charts and their buffers are freed when a run ends, not at the
+    # next full collection
+    import gc
+
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in (0.1, 2.9, 10.0)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for fam in fams:
+            evolve(fam, _BATCH_CTL, _BATCH_TOLS)
+            assert gc.collect() == 0
+        list(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS, history=False))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_batch_requires_one_parameter_set():
