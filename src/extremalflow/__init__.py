@@ -36,8 +36,6 @@ from .solutions import (
 from .analysis import (
     SgnWord,
     Unresolvable,
-    dissipation_estimate,
-    endpoint_curvature_deviation,
     energy,
     intersection_audit,
     intersection_count,

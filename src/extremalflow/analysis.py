@@ -1,4 +1,4 @@
-"""Intersection counting, sign words, semi-order, and energy monitors.
+"""Intersection counting, sign words, semi-order, and the energy E = L - A*S.
 
 Two pinned curves sharing the endpoints P and Q are compared through a
 scalar *gap* function in a common parameterization: the x-coordinate when
@@ -23,13 +23,11 @@ import numpy as np
 from .geometry import (
     AXIS_TOL,
     SampledCurve,
-    _chord_lengths,
     _polar_angles,
     endpoint_tangents,
     enclosed_area,
     is_graph_representable,
     length,
-    polyline_curvature,
 )
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "intersection_audit",
     "semi_order",
     "energy",
-    "dissipation_estimate",
-    "endpoint_curvature_deviation",
 ]
 
 
@@ -313,7 +309,8 @@ class Energy(NamedTuple):
 
     ``E`` is the flow's Lyapunov functional in either chart, and this is
     its one definition: it decreases along any run confined to {y >= 0},
-    at the rate of the curvature dissipation integral.
+    at the rate of the curvature dissipation integral, which the evolvers
+    read off their stencil.
     """
 
     L: float
@@ -330,31 +327,3 @@ def energy(c: SampledCurve, A: float) -> Energy:
     L = length(c)
     S = enclosed_area(c) if np.min(c.y) >= -AXIS_TOL else float("nan")
     return Energy(L, S, L - A * S)
-
-
-def dissipation_estimate(c: SampledCurve, A: float) -> float:
-    """Quadrature of (kappa - A)^2 over arc length.
-
-    Node curvatures come from circumscribed circles (one-sided at the
-    endpoints) and are weighted trapezoid-style so the weights sum to the
-    full polyline length.
-    """
-    kappa = polyline_curvature(c)
-    seg = _chord_lengths(c.x, c.y)
-    w = np.empty(len(c.points))
-    w[0] = seg[0] / 2.0
-    w[-1] = seg[-1] / 2.0
-    w[1:-1] = (seg[:-1] + seg[1:]) / 2.0
-    return float(np.sum((kappa - A) ** 2 * w))
-
-
-def endpoint_curvature_deviation(c: SampledCurve, A: float):
-    """|kappa - A| at P and Q from one-sided curvature estimates.
-
-    Along the flow the endpoint curvature relaxes to the driving force,
-    so this deviation is a boundary-consistency diagnostic.
-    """
-    if len(c.points) < 5:
-        raise ValueError("need at least 5 points for endpoint curvature")
-    kappa = polyline_curvature(c)
-    return abs(kappa[0] - A), abs(kappa[-1] - A)

@@ -12,12 +12,13 @@ the central-difference stencils, explicit Euler under a CFL cap, and a
 semi-implicit variant (diffusion treated implicitly with frozen
 coefficients) for long runs where the explicit parabolic step
 restriction is the bottleneck.  A chart object supplies what differs:
-spacing and pinned value, M and F, the step-size rule, the guards, the
-energy and the diagnostics.  Shared stencils make the discrete
-equilibria coincide.  ``curvature_graph`` and ``curvature_polar`` read
-the curvature off the same stencil: with A = 0 the right-hand side is
--kappa sqrt(M) in the graph chart and -kappa sqrt(M) / rho in the polar
-chart.
+spacing and pinned value, M, F and the speed factor, the step-size
+rule, the guards, the energy and the diagnostics.  Shared stencils make
+the discrete equilibria coincide.  The stencil is the package's one
+curvature: the right-hand side is V sqrt(M) / f, with V = A - kappa the
+normal velocity and f = 1 (graph) or rho (polar); the curvature
+functions and each sample's dissipation sum V^2 ds and endpoint
+deviation |V| read V.
 
 The loop advances a batch: a (K, n) state, one row per member, each row
 with its own time, step size, step count and energy tracker.  A row that
@@ -62,8 +63,6 @@ from scipy.linalg.lapack import dgtsv
 
 from .analysis import (
     Unresolvable,
-    dissipation_estimate,
-    endpoint_curvature_deviation,
     endpoint_tangents,
     energy,
     word_from_gap,
@@ -195,7 +194,10 @@ class ClassifierTolerances:
     ``converge``: sup-distance at which an orbit is declared locked onto
     an equilibrium (together with the dissipation floor).  ``escape_gap``:
     minimum interior radial clearance above the upper equilibrium that
-    certifies escape.  ``t_max``: classification horizon.
+    certifies escape.  ``dissipation``: the floor below which a sample's
+    curvature dissipation integral sum (kappa - A)^2 ds, the rate at
+    which E = L - A*S falls, counts as settled.  ``t_max``:
+    classification horizon.
     """
 
     converge: float = 1e-3
@@ -355,7 +357,8 @@ class _GraphChart:
     ``rows`` names each row's index in the batch being advanced.
     """
 
-    name, pin = "graph", 0.0
+    # P = (-a, 0) is the first node, so the first interior node is next to it
+    name, pin, near_P = "graph", 0.0, 0
 
     def __init__(self, h, A, params=None):
         self.h, self.A, self.params = h, A, params
@@ -390,6 +393,10 @@ class _GraphChart:
         M += _ONE
         np.sqrt(M, out=F)
         F *= self.A0
+
+    def speed(self, inner):
+        """u_t = V sqrt(M): the factor is 1."""
+        return _ONE
 
     def guard(self, X, d1, k, rows, W, abort):
         """{row position: 'steep' or 'blown'} for the rows that must stop, or None.
@@ -530,7 +537,8 @@ class _PolarChart:
     graph chart.
     """
 
-    name = "polar"
+    # P = (-a, 0) sits at theta = pi, the last node
+    name, near_P = "polar", -1
 
     def __init__(self, h, A, pin, params=None):
         self.h, self.A, self.pin, self.params = h, A, pin, params
@@ -574,6 +582,10 @@ class _PolarChart:
         F *= self.A0
         F /= inner
         F -= work
+
+    def speed(self, inner):
+        """rho_t = V sqrt(M) / rho: the factor is rho."""
+        return inner
 
     def guard(self, X, d1, k, rows, W, abort):
         # written so that a NaN fails the test
@@ -669,28 +681,37 @@ def graph_flow_rhs(u: np.ndarray, dx: float, A: float) -> np.ndarray:
     return _rhs(u, _GraphChart(dx, A))[0]
 
 
-def curvature_graph(g: GraphProfile) -> np.ndarray:
-    """Signed curvature at the interior nodes of a graph profile.
+def _normal_velocity(s: np.ndarray, chart):
+    """Normal velocity V = A - kappa (the chart's A) at the interior nodes
+    of one state of ``chart``, and the arc length h sqrt(M) of each node.
 
-    The stepper's central differences: with A = 0 the right-hand side is
-    u_xx / M = -kappa sqrt(M).  Concave-down profiles get kappa > 0, so
-    the circular-cap equilibrium carries kappa = +A.
+    The right-hand side is V sqrt(M) / f, with the chart's ``speed``
+    factor f; V is exactly 0 at a discrete equilibrium.
     """
-    rhs, M = _rhs(g.u, _GraphChart(g.params.dx, 0.0))
-    return -rhs / np.sqrt(M)
+    rhs, M = _rhs(s, chart)
+    ds = np.sqrt(M)
+    V = rhs * chart.speed(s[1:-1]) / ds
+    ds *= chart.h
+    return V, ds
+
+
+def curvature_graph(g: GraphProfile) -> np.ndarray:
+    """Signed curvature at the interior nodes of a graph profile: -V at A = 0.
+
+    Concave-down profiles get kappa > 0, so the circular-cap equilibrium
+    carries kappa = +A.
+    """
+    return -_normal_velocity(g.u, _GraphChart(g.params.dx, 0.0))[0]
 
 
 def curvature_polar(p: PolarProfile) -> np.ndarray:
-    """Signed curvature at the interior nodes of a polar profile.
+    """Signed curvature at the interior nodes of a polar profile: -V at A = 0.
 
-    The stepper's central differences: with A = 0 the right-hand side is
-    -kappa sqrt(M) / rho, the polar formula (rho^2 + 2 rho_t^2 - rho
-    rho_tt) / M^(3/2) with M = rho^2 + rho_t^2.  Positive for arcs bending
-    around the origin, matching the graph-chart sign on shared curves.
+    This is the polar formula (rho^2 + 2 rho_t^2 - rho rho_tt) / M^(3/2)
+    with M = rho^2 + rho_t^2.  Positive for arcs bending around the
+    origin, matching the graph-chart sign on shared curves.
     """
-    rho = p.rho
-    rhs, M = _rhs(rho, _PolarChart(p.params.dtheta, 0.0, p.params.a))
-    return -rhs * rho[1:-1] / np.sqrt(M)
+    return -_normal_velocity(p.rho, _PolarChart(p.params.dtheta, 0.0, p.params.a))[0]
 
 
 def _implicit_solve(r, b, d, dl, du, m):
@@ -1065,10 +1086,9 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
 
 def _diagnose(chart, s, curve: SampledCurve, t: float):
     """Diagnostics of a sample, and its smallest gap above the upper equilibrium."""
-    A = chart.A
-    L, S, E = energy(curve, A)
+    L, S, E = energy(curve, chart.A)
     tangents = endpoint_tangents(curve)
-    kdev_P = endpoint_curvature_deviation(curve, A)[0]
+    V, ds = _normal_velocity(s, chart)
     param, gap_up, dist_lower, dist_upper, min_gap_up = chart.compare(s)
     try:
         letters = word_from_gap(param, gap_up).letters
@@ -1080,9 +1100,9 @@ def _diagnose(chart, s, curve: SampledCurve, t: float):
         L=L,
         S=S,
         E=E,
-        dissipation=dissipation_estimate(curve, A),
+        dissipation=float(_sum(V * V * ds)),
         sgn_upper=letters,
-        kappa_dev_P=kdev_P,
+        kappa_dev_P=abs(float(V[chart.near_P])),
         tangent_y_P=float(tangents.at_P[1]),
         tangent_y_Q=float(tangents.at_Q[1]),
         dist_lower=dist_lower,

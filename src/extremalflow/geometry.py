@@ -30,7 +30,6 @@ __all__ = [
     "length",
     "enclosed_area",
     "endpoint_tangents",
-    "polyline_curvature",
     "is_graph_representable",
     "is_star_shaped",
 ]
@@ -341,31 +340,3 @@ def endpoint_tangents(c: SampledCurve) -> EndpointTangents:
     vP = vP / np.hypot(vP[0], vP[1])
     vQ = vQ / np.hypot(vQ[0], vQ[1])
     return EndpointTangents(at_P=vP, at_Q=vQ)
-
-
-def polyline_curvature(c: SampledCurve) -> np.ndarray:
-    """Signed curvature at every node of a polyline, chart-free.
-
-    Interior nodes use the circle through three consecutive points; the
-    endpoints reuse the circles of their adjacent interior nodes (one-sided
-    estimates).  Signs follow the package convention: arcs bending downward
-    toward the enclosed region (concave-down graphs) are positive.
-    """
-    pts = c.points
-    n = len(pts)
-    if n < 5:
-        raise ValueError("need at least 5 points for curvature estimates")
-    p0, p1, p2 = pts[:-2], pts[1:-1], pts[2:]
-    e1 = p1 - p0
-    e2 = p2 - p1
-    e3 = p2 - p0
-    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    seg = _chord_lengths(c.x, c.y)
-    l1, l2 = seg[:-1], seg[1:]
-    l3 = np.hypot(e3[:, 0], e3[:, 1])
-    interior = -2.0 * cross / (l1 * l2 * l3)
-    kappa = np.empty(n)
-    kappa[1:-1] = interior
-    kappa[0] = interior[0]
-    kappa[-1] = interior[-1]
-    return kappa

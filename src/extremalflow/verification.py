@@ -303,15 +303,16 @@ def criterion_7(ctx: VerificationContext) -> CriterionResult:
             continue
         dEdt = (r1.E - r0.E) / (r1.t - r0.t)
         errs.append(abs(dEdt + diss) / diss)
-    ident_ok = bool(errs) and max(errs) <= 0.05
-    ok = mono_ok and ident_ok
+    err = max(errs) if errs else float("nan")
+    # the dissipation on the stepper's stencil meets the identity to about 1%
+    ok = mono_ok and err <= 0.05 and err <= 0.015
     return CriterionResult(
         7,
         "energy monotonicity and dissipation identity",
         ok,
         f"max per-step energy rise {worst_rise:.2e} ({worst_name}; bound 1e-7); "
-        f"identity max rel err {max(errs) if errs else float('nan'):.2%} over "
-        f"{len(errs)} samples in t=[0.5,5] (bound 5%)",
+        f"identity max rel err {err:.2%} over {len(errs)} samples in t=[0.5,5] "
+        f"(bound 5%; stricter bound 1.5%)",
     )
 
 

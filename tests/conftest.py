@@ -23,3 +23,15 @@ def pinned_curve(x, y):
     y[0] = 0.0
     y[-1] = 0.0
     return SampledCurve(np.column_stack([x, y]))
+
+
+def diagnose(profile):
+    """The diagnostics record a run would take of a graph or polar profile."""
+    from extremalflow import GraphProfile, evolvers
+
+    p = profile.params
+    if isinstance(profile, GraphProfile):
+        chart, s = evolvers._GraphChart(p.dx, p.A, p), profile.u
+    else:
+        chart, s = evolvers._PolarChart(p.dtheta, p.A, p.a, p), profile.rho
+    return evolvers._diagnose(chart, s, chart.sample(s), 0.0)[0]

@@ -8,8 +8,6 @@ from extremalflow import (
     InitialFamily,
     SgnWord,
     Unresolvable,
-    dissipation_estimate,
-    endpoint_curvature_deviation,
     energy,
     gamma_lower,
     gamma_upper,
@@ -25,7 +23,7 @@ from extremalflow import (
 from extremalflow.analysis import word_from_gap
 from extremalflow.evolvers import StepControl, advance_graph
 
-from conftest import pinned_curve
+from conftest import diagnose, pinned_curve
 
 
 @pytest.fixture(scope="module")
@@ -260,35 +258,26 @@ def test_lyapunov_monotone_along_graph_steps(params):
         prev = cur
 
 
-def test_dissipation_values(params, lower):
-    assert dissipation_estimate(lower, params.A) < 1e-5
-    x = params.x_nodes()
-    seg = pinned_curve(x, np.zeros_like(x))
-    # straight segment: (kappa - A)^2 = A^2 over total length 2a
-    assert dissipation_estimate(seg, params.A) == pytest.approx(
-        2 * params.a * params.A**2, abs=1e-6
-    )
-    assert dissipation_estimate(family_curve(params, 0.7), params.A) >= 0.0
+def test_dissipation_values(params):
+    # the stencil's integral of (kappa - A)^2 over the arc length of the interior nodes
+    assert diagnose(gamma_lower(params)).dissipation < 1e-9
+    flat = diagnose(GraphProfile(params, np.zeros(params.grid_n)))
+    # straight segment: (kappa - A)^2 = A^2 over the interior nodes' length 2a - h
+    assert flat.dissipation == pytest.approx((2 * params.a - params.dx) * params.A**2, rel=1e-12)
+    assert diagnose(initial_curve(InitialFamily(params, sigma=0.7))).dissipation >= 0.0
 
 
-def test_endpoint_curvature_deviation(params, lower, upper):
-    dev = endpoint_curvature_deviation(lower, params.A)
-    assert max(dev) < 1e-9  # exact circle samples
-    dev_up = endpoint_curvature_deviation(upper, params.A)
-    assert max(dev_up) < 1e-9
-    x = params.x_nodes()
-    seg = pinned_curve(x, np.zeros_like(x))
-    assert endpoint_curvature_deviation(seg, 1.0) == (1.0, 1.0)
+def test_endpoint_curvature_deviation(params):
+    # exact circle samples: only the stencil's O(h^2) truncation error
+    assert diagnose(gamma_lower(params)).kappa_dev_P < 1e-5
+    assert diagnose(gamma_upper(params)).kappa_dev_P < 5e-4
+    # a straight segment has kappa = 0, so |kappa - A| is A exactly
+    assert diagnose(GraphProfile(params, np.zeros(params.grid_n))).kappa_dev_P == params.A
 
 
 def test_endpoint_curvature_relaxes_along_run(params):
     # the flow drives the boundary curvature to the driving force
-    from extremalflow import advance_graph
-
     ctl = StepControl.for_params(params, scheme="semi_implicit")
     g0 = initial_curve(InitialFamily(params, sigma=0.1))
-    c0 = graph_to_sampled(g0)
-    assert min(endpoint_curvature_deviation(c0, params.A)) > 0.9  # starts far off
-    g1 = advance_graph(g0, ctl, 1.0)
-    c1 = graph_to_sampled(g1)
-    assert max(endpoint_curvature_deviation(c1, params.A)) < 0.05
+    assert diagnose(g0).kappa_dev_P > 0.9  # starts far off
+    assert diagnose(advance_graph(g0, ctl, 1.0)).kappa_dev_P < 0.05

@@ -31,6 +31,8 @@ from extremalflow import (
 from extremalflow import evolvers
 from extremalflow.analysis import gap_profile
 
+from conftest import diagnose
+
 
 @pytest.fixture(scope="module")
 def explicit(params):
@@ -280,6 +282,18 @@ def test_equilibrium_preservation_short(params, scheme, equilibrium, advance, fi
     start = equilibrium(params)
     held = advance(start, ctl, t_end)
     assert np.max(np.abs(getattr(held, field) - getattr(start, field))) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "equilibrium, advance",
+    [(gamma_lower, advance_graph), (gamma_lower_polar, advance_polar)],
+    ids=["graph", "polar"],
+)
+def test_held_equilibrium_diagnoses_as_exact(params, semi, equilibrium, advance):
+    # the held state is the stencil's own fixed point, where V = A - kappa is 0
+    rec = diagnose(advance(equilibrium(params), semi, 5.0))
+    assert rec.dissipation < 1e-20
+    assert rec.kappa_dev_P < 1e-9
 
 
 def test_grid_convergence_order():
