@@ -21,13 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
-    AXIS_TOL,
     SampledCurve,
+    _length_and_area,
     _polar_angles,
     endpoint_tangents,
-    enclosed_area,
     is_graph_representable,
-    length,
 )
 
 __all__ = [
@@ -322,8 +320,9 @@ def energy(c: SampledCurve, A: float) -> Energy:
     """Length, enclosed area, and the energy E = L - A*S of a curve.
 
     Below y = -1e-9 the enclosed area, and hence E, is undefined: both
-    read NaN.
+    read NaN.  The evolvers' per-step energy tracker evaluates the same
+    row-wise length and area on the points each chart samples, so every
+    tracked E is bitwise this one.
     """
-    L = length(c)
-    S = enclosed_area(c) if np.min(c.y) >= -AXIS_TOL else float("nan")
+    L, S = map(float, _length_and_area(c.x, c.y))
     return Energy(L, S, L - A * S)

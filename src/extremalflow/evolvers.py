@@ -13,9 +13,9 @@ semi-implicit variant (diffusion treated implicitly with frozen
 coefficients) for long runs where the explicit parabolic step
 restriction is the bottleneck.  A chart object supplies what differs:
 spacing and pinned value, M, F and the speed factor, the step-size
-rule, the guards, the energy and the diagnostics.  Shared stencils make
-the discrete equilibria coincide.  The stencil is the package's one
-curvature: the right-hand side is V sqrt(M) / f, with V = A - kappa the
+rule, the guards, the sampled points and the diagnostics.  Shared
+stencils make the discrete equilibria coincide.  The stencil is the
+package's one curvature: the right-hand side is V sqrt(M) / f, with V = A - kappa the
 normal velocity and f = 1 (graph) or rho (polar); the curvature
 functions and each sample's dissipation sum V^2 ds and endpoint
 deviation |V| read V.
@@ -24,11 +24,11 @@ The loop advances a batch: a (K, n) state, one row per member, each row
 with its own time, step size, step count and energy tracker.  A row that
 reaches its end idles outside the batch, which is packed to the rows
 still stepping, so every numpy call is shared by all members in step.
-The energy E = L - A*S of each step is evaluated per chunk: the stepped
+Each step's energy E = L - A*S is bitwise ``analysis.energy`` of the
+points the chart's ``sample`` returns, evaluated per chunk: the stepped
 states are copied into a history buffer of the chart and ``energy`` runs
 once on all buffered rows every ``ENERGY_CHUNK`` steps and whenever the
-batch is packed.  ``energy`` is row-wise, so each E is bitwise the one
-of its step evaluated alone.
+batch is packed.
 The K tridiagonal systems of a semi-implicit step go to one LAPACK
 ``gtsv`` call as a block-diagonal system with zero coupling entries; the
 matrix is diagonally dominant, so gtsv never swaps rows, a zero
@@ -68,14 +68,13 @@ from .analysis import (
     word_from_gap,
 )
 from .geometry import (
-    AXIS_TOL,
     GraphProfile,
     PolarProfile,
     ProblemParams,
     SampledCurve,
-    _chord_lengths,
+    _length_and_area,
     _polar_angles,
-    _shoelace_terms,
+    _polar_xy,
     graph_to_sampled,
     is_graph_representable,
     polar_to_sampled,
@@ -141,9 +140,9 @@ class BlowupError(RuntimeError):
 class StepControl:
     """Stepping parameters, for any grid.
 
-    ``dt`` is the nominal step; the actual step never exceeds it and is
-    further clipped by the explicit stability bound (cfl * h^2 on the
-    spacing h being stepped, scaled by the metric) and a displacement cap.
+    ``dt`` is the nominal step, clipped by a displacement cap.  Only the
+    explicit polar chart steps past it: it ignores ``dt`` and steps by
+    the smaller of its cap and cfl * dtheta^2 * min(M).
     ``scheme`` selects 'explicit' Euler or the 'semi_implicit'
     linearized-diffusion variant.  An explicit ``dt`` must satisfy
     dt <= cfl * dx^2 on the graph grid it steps; that grid is known only
@@ -363,9 +362,9 @@ class _GraphChart:
     def __init__(self, h, A, params=None):
         self.h, self.A, self.params = h, A, params
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
-        self.h2, self.A0 = np.array(h**2), np.array(A)
+        self.A0 = np.array(A)
         self.fill_cache = {}
-        self._X, self._seg, self.history = None, _NO_ROWS, _NO_ROWS
+        self._X, self.history = None, _NO_ROWS
         if params is not None:
             self.x, self.lower = params.x_nodes(), gamma_lower(params).u
             self.depth_scale = max(params.center_offset, 0.05 * params.a)
@@ -449,26 +448,10 @@ class _GraphChart:
         return steps
 
     def energy(self, X):
-        """L - A*S per row, NaN for a row below the axis.
-
-        This is ``analysis.energy`` of the sampled row in grid form: with
-        uniform x and zero pins the polyline's chord sum is
-        sum sqrt(du^2 + h^2) and its shoelace area is h * sum u.  The grid
-        form is kept because it is the tracker's hot path and its bits are
-        those of every recorded ``max_step_energy_increase``.
-        """
-        k, n = X.shape
-        self._seg = _grown(self._seg, k, n - 1)
-        seg = self._seg[:k]
-        np.subtract(X[:, 1:], X[:, :-1], out=seg)
-        seg *= seg
-        seg += self.h2
-        L = _sum(np.sqrt(seg, out=seg), 1).tolist()
-        S = _sum(X[:, 1:-1], 1).tolist()
-        low = _min(X, 1).tolist()
-        A, h = self.A, self.h
-        nan = float("nan")
-        return [nan if lo < -AXIS_TOL else l - A * (h * s) for lo, l, s in zip(low, L, S)]
+        """E = L - A*S per row: ``analysis.energy`` of the row's sample,
+        the points (x, u), bitwise; NaN for a row below the axis."""
+        L, S = _length_and_area(self.x, X)
+        return (L - self.A * S).tolist()
 
     def sample(self, u) -> SampledCurve:
         return graph_to_sampled(GraphProfile(self.params, u))
@@ -544,24 +527,10 @@ class _PolarChart:
         self.h, self.A, self.pin, self.params = h, A, pin, params
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
         self.A0 = np.array(A)
-        self._k, self.history = 0, _NO_ROWS
+        self.history = _NO_ROWS
         if params is not None:
             self.theta = params.theta_nodes()
             self.lower, self.upper = gamma_lower_polar(params).rho, gamma_upper(params).rho
-            self.cos, self.sin = np.cos(self.theta), np.sin(self.theta)
-
-    def _buffers(self, k):
-        """cos and sin tiled to k rows and the energy buffers for k rows:
-        the leading rows of buffers rebuilt only when more rows are needed."""
-        if k > self._k:
-            n = len(self.cos)
-            self._k = k
-            self._at = (
-                np.tile(self.cos, (k, 1)), np.tile(self.sin, (k, 1)),
-                np.empty((k, n)), np.empty((k, n)), np.empty((2, k, n - 1)), np.empty((k, n - 1)),
-            )
-        cos, sin, xs, ys, terms, q = self._at
-        return cos[:k], sin[:k], xs[:k], ys[:k], terms[:, :k], q[:k]
 
     def prepare(self, ctl: StepControl, K: int):
         self.explicit = ctl.scheme == "explicit"
@@ -610,15 +579,10 @@ class _PolarChart:
         return steps
 
     def energy(self, X):
-        """Polyline L - A*|S| of the nodes per row, in the chart's buffers."""
-        cos, sin, xs, ys, terms, q = self._buffers(len(X))
-        np.multiply(X, cos, out=xs)
-        np.multiply(X, sin, out=ys)
-        _chord_lengths(xs, ys, terms[0], q)
-        _shoelace_terms(xs, ys, terms[1], q)
-        L, S2 = _sum(terms, -1).tolist()  # both sums in one reduction
-        A = self.A
-        return [l - A * abs(0.5 * s2) for l, s2 in zip(L, S2)]
+        """E = L - A*S per row: ``analysis.energy`` of the row's sample,
+        the points (rho cos theta, rho sin theta) from P to Q, bitwise."""
+        L, S = _length_and_area(*_polar_xy(X, self.params))
+        return (L - self.A * S).tolist()
 
     def sample(self, rho) -> SampledCurve:
         return polar_to_sampled(PolarProfile(self.params, rho))

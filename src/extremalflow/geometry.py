@@ -236,17 +236,22 @@ def graph_to_sampled(g: GraphProfile) -> SampledCurve:
     return SampledCurve(pts)
 
 
-def polar_to_sampled(p: PolarProfile) -> SampledCurve:
-    """Sample a polar profile as a polyline ordered from P to Q.
+def _polar_xy(rho, params: ProblemParams):
+    """x and y of polar radii ``rho`` (rows along the last axis) from P to Q.
 
     theta = 0 corresponds to Q, so the node order is reversed.  Endpoints
     are pinned exactly (sin(pi) is not exactly zero in floating point).
     """
-    th = p.params.theta_nodes()
-    pts = np.column_stack([p.rho * np.cos(th), p.rho * np.sin(th)])[::-1]
-    pts[0] = (-p.params.a, 0.0)
-    pts[-1] = (p.params.a, 0.0)
-    return SampledCurve(pts)
+    th = params.theta_nodes()
+    x, y = (rho * np.cos(th))[..., ::-1], (rho * np.sin(th))[..., ::-1]
+    x[..., 0], x[..., -1] = -params.a, params.a
+    y[..., 0] = y[..., -1] = 0.0
+    return x, y
+
+
+def polar_to_sampled(p: PolarProfile) -> SampledCurve:
+    """Sample a polar profile as a polyline ordered from P to Q."""
+    return SampledCurve(np.column_stack(_polar_xy(p.rho, p.params)))
 
 
 def is_graph_representable(c: SampledCurve) -> bool:
@@ -261,7 +266,7 @@ def _polar_angles(c: SampledCurve):
     Star-shaped means the angle decreases strictly from pi to 0 along the
     P -> Q order, which makes rho(theta) single-valued.
     """
-    if np.any(c.y < -1e-12):
+    if np.any(c.y < -AXIS_TOL):
         return None
     th = np.arctan2(np.maximum(c.y, 0.0), c.x)
     return th if np.all(np.diff(th) < 0.0) else None
@@ -277,41 +282,37 @@ def is_star_shaped(c: SampledCurve) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# The summands of the polyline length and of the shoelace area, for
-# polylines along the last axis (one per row); each sum runs along that
-# axis.  The optional work buffers p, q (the shape of x less one node) let
-# the per-step energy tracker allocate nothing and sum both at once.
+def _length_and_area(x: np.ndarray, y: np.ndarray):
+    """Length L and enclosed area S of polylines along the last axis, one
+    per row.
 
-
-def _chord_lengths(x: np.ndarray, y: np.ndarray, p=None, q=None):
-    p = np.subtract(x[..., 1:], x[..., :-1], out=p)
-    q = np.subtract(y[..., 1:], y[..., :-1], out=q)
-    return np.hypot(p, q, out=p)
-
-
-def _shoelace_terms(x: np.ndarray, y: np.ndarray, p=None, q=None):
-    """Summands of twice the signed area enclosed with the axis."""
+    L is the chord sum.  S is the shoelace area of the polygon closed
+    along y = 0, positive for curves above the axis, and NaN for a row
+    that dips below y = -AXIS_TOL, where the enclosed region is
+    ill-defined.  Each row's values are bitwise those of the row alone.
+    """
+    L = np.sum(np.hypot(np.diff(x), np.diff(y)), axis=-1)
     # the closing segment back along y = 0 contributes nothing
-    p = np.multiply(x[..., 1:], y[..., :-1], out=p)
-    p -= np.multiply(x[..., :-1], y[..., 1:], out=q)
-    return p
+    S = 0.5 * np.sum(x[..., 1:] * y[..., :-1] - x[..., :-1] * y[..., 1:], axis=-1)
+    return L, np.where(np.min(y, axis=-1) < -AXIS_TOL, np.nan, S)
 
 
 def length(c: SampledCurve) -> float:
     """Polyline length (sum of chord lengths)."""
-    return float(_chord_lengths(c.x, c.y).sum())
+    return float(_length_and_area(c.x, c.y)[0])
 
 
 def enclosed_area(c: SampledCurve) -> float:
     """Area enclosed between the curve and the axis segment from Q back to P.
 
     Shoelace formula over the polygon closed along y = 0; positive for
-    curves above the axis.  Curves dipping below y = -1e-9 are rejected
-    because the enclosed region is then ill-defined.
+    curves above the axis.  Curves dipping below y = -AXIS_TOL are
+    rejected because the enclosed region is then ill-defined.
     """
-    if np.min(c.y) < -AXIS_TOL:
+    S = float(_length_and_area(c.x, c.y)[1])
+    if np.isnan(S):
         raise ValueError("enclosed area undefined: curve dips below the axis")
-    return float(0.5 * _shoelace_terms(c.x, c.y).sum())
+    return S
 
 
 def _lagrange_derivative_at_zero(s1: float, s2: float, p0, p1, p2):
@@ -332,7 +333,7 @@ def endpoint_tangents(c: SampledCurve) -> EndpointTangents:
     pts = c.points
     if len(pts) < 3:
         raise ValueError("need at least 3 points for endpoint tangents")
-    seg = _chord_lengths(c.x, c.y)
+    seg = np.hypot(*np.diff(pts, axis=0).T)
     s1, s2 = seg[0], seg[0] + seg[1]
     vP = _lagrange_derivative_at_zero(s1, s2, pts[0], pts[1], pts[2])
     s1b, s2b = seg[-1], seg[-1] + seg[-2]

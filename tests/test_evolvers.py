@@ -231,30 +231,28 @@ def test_block_solve_matches_separate_solves(k, m, seed):
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(min_value=8, max_value=200), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_tracker_energy_matches_reference_expressions(n, seed):
+    # the tracked energy is E = L - A*S of the points the chart samples:
+    # bitwise the chord sum and shoelace area written out here, and
+    # bitwise analysis.energy
     params = ProblemParams(A=1.0, a=0.5, grid_n=2 * n + 1)
     rng = np.random.default_rng(seed)
-    A, h = params.A, params.dx
+    A = params.A
     polar = evolvers._PolarChart(params.dtheta, A, params.a, params)
-    graph = evolvers._GraphChart(h, A, params)
-    for _ in range(3):  # the buffers carry nothing from one call to the next
+    graph = evolvers._GraphChart(params.dx, A, params)
+    for _ in range(3):
         rho = rng.uniform(0.05, 2.0, params.grid_n)
-        xs, ys = rho * np.cos(params.theta_nodes()), rho * np.sin(params.theta_nodes())
-        L = float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
-        S = float(0.5 * np.sum(xs[1:] * ys[:-1] - xs[:-1] * ys[1:]))
-        assert polar.energy(rho[None]) == [L - A * abs(S)]
         u = rng.uniform(0.0, 1.0, params.grid_n) * rng.uniform(0.01, 5.0)
-        expected = float(np.sqrt(h**2 + np.diff(u) ** 2).sum()) - A * float(h * u[1:-1].sum())
-        assert graph.energy(u[None]) == [expected]
-        # both trackers are the one energy E = L - A*S of the sampled curve
         rho[[0, -1]], u[[0, -1]] = params.a, 0.0  # a profile is pinned
         for chart, s in ((polar, rho), (graph, u)):
-            E = energy(chart.sample(s), A).E
-            assert chart.energy(s[None])[0] == pytest.approx(E, rel=1e-12)
+            curve = chart.sample(s)
+            x, y = curve.x, curve.y
+            L = float(np.sum(np.hypot(np.diff(x), np.diff(y))))
+            S = float(0.5 * np.sum(x[1:] * y[:-1] - x[:-1] * y[1:]))
+            assert chart.energy(s[None]) == [L - A * S] == [energy(curve, A).E]
         u[rng.integers(1, params.grid_n - 1)] = -1e-3
         (below,) = graph.energy(u[None])
         assert np.isnan(below)
-    # a stack of rows gets each row's own bits; 5 rows after 9 would show
-    # a stale larger buffer
+    # a stack of rows gets each row's own bits, 5 rows after 9 as well
     for j in (9, 5):
         rhos = rng.uniform(0.05, 2.0, (j, params.grid_n))
         us = rng.uniform(-0.01, 1.0, (j, params.grid_n))
@@ -479,6 +477,51 @@ def test_blown_member_leaves_the_others_alone(monkeypatch):
     assert done[1].event.kind is EventKind.BLOWUP and len(done[1].diagnostics) == 2
     for i in (0, 2, 3):
         _assert_same_run(done[i], alone[sigmas[i]])
+
+
+def test_refused_steep_handoff_stays_in_the_graph_chart(monkeypatch):
+    # with no polar resampling, a steep abort disables the member's abort
+    # and it steps on in the graph chart until the state blows up; a
+    # member of the batch that never steepens runs as on its own
+    alone = _alone(0.1)
+    switch = evolvers.switch_chart
+
+    def no_polar(curve, target, params):
+        if target == "polar":
+            raise ValueError("polar chart refused")
+        return switch(curve, target, params)
+
+    monkeypatch.setattr(evolvers, "switch_chart", no_polar)
+    sigmas = [10.0, 2.9, 0.1]
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
+    done = dict(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
+    # one member alone: once its abort is off, no row of its batch may abort
+    ((_, solo),) = evolvers.evolve_batch(fams[:1], _BATCH_CTL, _BATCH_TOLS)
+    for traj in (done[0], done[1], solo):
+        assert traj.event.kind is EventKind.BLOWUP
+        assert traj.event.detail == "in graph chart"
+        assert {d.chart for d in traj.diagnostics} == {"graph"}
+    _assert_same_run(done[2], alone)
+
+
+def test_decide_fires_chart_loss_on_outward_tangents(params):
+    # the polar chart is lost once an endpoint tangent turns
+    # outward-horizontal; the event names the last word
+    polar = evolvers._PolarChart(params.dtheta, params.A, params.a, params)
+    graph = evolvers._GraphChart(params.dx, params.A, params)
+    tols = ClassifierTolerances()
+    rec = evolvers.DiagnosticRecord(
+        t=1.5, chart="polar", L=2.0, S=0.5, E=1.5, dissipation=1.0, sgn_upper="-+",
+        kappa_dev_P=0.0, tangent_y_P=0.0, tangent_y_Q=-0.5, dist_lower=1.0, dist_upper=1.0,
+    )
+    lost = evolvers.TerminationEvent(EventKind.CHART_LOSS, 1.5, "last word -+")
+    assert evolvers._decide(polar, rec, -1.0, tols, 50.0) == lost
+    rec = replace(rec, sgn_upper=None, tangent_y_P=0.5, tangent_y_Q=0.0)
+    lost = evolvers.TerminationEvent(EventKind.CHART_LOSS, 1.5, "last word ?")
+    assert evolvers._decide(polar, rec, -1.0, tols, 50.0) == lost
+    # inward tangents keep the polar chart; the graph chart is never lost
+    assert evolvers._decide(polar, replace(rec, tangent_y_Q=-0.5), -1.0, tols, 50.0) is None
+    assert evolvers._decide(graph, replace(rec, chart="graph"), -1.0, tols, 50.0) is None
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
