@@ -9,9 +9,14 @@ whichever chart currently represents the curve:
 
 Both are s_t = s_qq / M + F, stepped by one loop, ``_advance``, that owns
 the central-difference stencils, explicit Euler under a CFL cap, and a
-semi-implicit variant (diffusion treated implicitly with frozen
-coefficients) for long runs where the explicit parabolic step
-restriction is the bottleneck.  A chart object supplies what differs:
+semi-implicit variant for long runs where the explicit parabolic step
+restriction is the bottleneck.  The semi-implicit step is linearly
+implicit Euler (diffusion implicit with frozen coefficients, forcing
+explicit; Ascher, Ruuth and Wetton 1995) extrapolated to second order
+from one full and two half steps, whose difference sets an adaptive
+step size per row (Hairer and Wanner, Solving ODEs II, IV.9): each row
+takes the step its error tolerance allows, at most
+``ctl.sample_interval``.  A chart object supplies what differs:
 spacing and pinned value, M, F and the speed factor, the step-size
 rule, the guards, the sampled points and the diagnostics.  Shared
 stencils make the discrete equilibria coincide.  The stencil is the
@@ -21,24 +26,27 @@ functions and each sample's dissipation sum V^2 ds and endpoint
 deviation |V| read V.
 
 The loop advances a batch: a (K, n) state, one row per member, each row
-with its own time, step size, step count and energy tracker.  A row that
-reaches its end idles outside the batch, which is packed to the rows
-still stepping, so every numpy call is shared by all members in step.
-Each step's energy E = L - A*S is bitwise ``analysis.energy`` of the
-points the chart's ``sample`` returns, evaluated per chunk: the stepped
-states are copied into a history buffer of the chart and ``energy`` runs
-once on all buffered rows every ``ENERGY_CHUNK`` steps and whenever the
-batch is packed.
-The K tridiagonal systems of a semi-implicit step go to one LAPACK
-``gtsv`` call as a block-diagonal system with zero coupling entries; the
-matrix is diagonally dominant, so gtsv never swaps rows, a zero
-multiplier adds exactly nothing, and each row's solution is bitwise
-that of its own solve.  Row reductions (max, min, sum along a row) are
-bitwise those of the row alone, so a member of a batch steps exactly as
-it would by itself.  The guards are written so that NaN fails them (the
-graph chart checks every 32 steps); a row whose step size is not a
-positive number is 'blown' before the solve, where it would reach its
-neighbours through the zero coupling.  Buffers are reused across steps.
+with its own time, step size, step count and energy tracker; a row may
+reject a step while the others accept theirs.  A row that reaches its
+end idles outside the batch, which is packed to the rows still stepping,
+so every numpy call is shared by all members in step.
+Each accepted step's energy E = L - A*S is bitwise ``analysis.energy``
+of the points the chart's ``sample`` returns, evaluated per chunk: the
+stepped states are copied into a history buffer of the chart and
+``energy`` runs once on all buffered rows every ``ENERGY_CHUNK`` steps
+and whenever the batch is packed.
+The tridiagonal systems of a semi-implicit step (a full and a half step
+per row, then a second half step per row) go to LAPACK ``gtsv`` as
+block-diagonal systems with zero coupling entries; the matrix is
+diagonally dominant, so gtsv never swaps rows, a zero multiplier adds
+exactly nothing, and each row's solution is bitwise that of its own
+solve.  Row reductions (max, min, sum along a row) are bitwise those of
+the row alone, and a row's step size and its acceptance read only its
+own error estimate, so a member of a batch steps exactly as it would by
+itself.  The guards are written so that NaN fails them (the graph chart
+checks every 32 steps); a row whose step size is not a positive number
+is 'blown' before the solve, where it would reach its neighbours
+through the zero coupling.  Buffers are reused across steps.
 
 ``evolve_batch`` drives full runs from family curves: every member
 switches charts when its graph representation steepens past the fixed
@@ -46,16 +54,18 @@ slope ``SLOPE_SWITCH`` (and back below half of it), records diagnostics on a
 fixed sampling cadence, and terminates on its first classification
 event.  Between samples the graph-chart members are advanced together,
 then the polar-chart ones, so that a member handed off mid-interval
-finishes the interval in the polar chart.  ``evolve`` is its
-one-member case; a caller that keeps only outcomes (a sweep) has each
-member keep only its latest sample, so a batch holds K states, not K
-histories.
+finishes the interval in the polar chart.  Each member keeps its trial
+step from one interval to the next and starts again from ``ctl.dt`` in
+a new chart.  ``evolve`` is its one-member case; a caller that keeps
+only outcomes (a sweep) has each member keep only its latest sample, so
+a batch holds K states, not K histories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import sqrt
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -116,6 +126,9 @@ STEP_FRACTION = 0.05
 SLOPE_SWITCH = 10.0
 # Steps whose states are buffered per evaluation of the tracked energy.
 ENERGY_CHUNK = 64
+# Local error tolerance of a semi-implicit step in flow units: a step is
+# accepted when its error estimate is at most STEP_TOL / A.
+STEP_TOL = 1e-4
 
 # The reductions of the stepping loop, called as ufunc methods: the same
 # arithmetic as ndarray.max() and friends without their Python wrapper.
@@ -123,7 +136,7 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 # The loop's constant operands are 0-d arrays (the charts' as well): a
 # ufunc takes one in about 0.3 us and a Python float in about 0.45 us,
 # for the same arithmetic.
-_ONE, _TWO, _TINY = np.array(1.0), np.array(2.0), np.array(1e-300)
+_HALF, _ONE, _TWO, _TINY = np.array(0.5), np.array(1.0), np.array(2.0), np.array(1e-300)
 _NO_ROWS = np.empty((0, 0))
 
 
@@ -140,11 +153,14 @@ class BlowupError(RuntimeError):
 class StepControl:
     """Stepping parameters, for any grid.
 
-    ``dt`` is the nominal step, clipped by a displacement cap.  Only the
-    explicit polar chart steps past it: it ignores ``dt`` and steps by
-    the smaller of its cap and cfl * dtheta^2 * min(M).
     ``scheme`` selects 'explicit' Euler or the 'semi_implicit'
-    linearized-diffusion variant.  An explicit ``dt`` must satisfy
+    linearized-diffusion variant.  In the explicit scheme ``dt`` is the
+    nominal step, clipped by a displacement cap; the explicit polar
+    chart ignores it and steps by the smaller of its cap and
+    cfl * dtheta^2 * min(M).  In the semi-implicit scheme ``dt`` is the
+    first trial step of an error-controlled step size (see ``_advance``),
+    under the same displacement cap; no semi-implicit step exceeds
+    ``sample_interval``.  An explicit ``dt`` must satisfy
     dt <= cfl * dx^2 on the graph grid it steps; that grid is known only
     when stepping starts, so the graph chart checks it there.  Build one
     with ``for_params``, which states the defaults.
@@ -175,7 +191,8 @@ class StepControl:
         sample_interval: float = 0.1,
     ) -> "StepControl":
         """Controls sized for the grid of ``params``: dt = cfl * dx^2 for
-        the explicit scheme, dt = 0.1 * dx for the semi-implicit one."""
+        the explicit scheme, a first trial step dt = 0.1 * dx for the
+        semi-implicit one."""
         dx = params.dx
         return cls(
             dt=cfl * dx**2 if scheme == "explicit" else 0.1 * dx,
@@ -340,11 +357,12 @@ class _EnergyTracker:
 class _GraphChart:
     """Graph heights u(x), pinned to 0: M = 1 + u_x^2, F = A sqrt(M).
 
-    The step is ctl.dt, at most cfl * dx^2 in the explicit scheme (the
-    graph diffusion coefficient never exceeds 1), under a displacement
-    cap relative to max |u| (refreshed every 32 steps).  A row whose
-    abort flag is set stops once its profile steepens past ``abort_slope``,
-    for a handoff to the polar chart: near the pins the discrete forcing
+    The explicit step is ctl.dt, at most cfl * dx^2 (the graph diffusion
+    coefficient never exceeds 1); the semi-implicit one is at most
+    ctl.sample_interval.  Both are under a displacement cap relative to
+    max |u| (refreshed every 32 steps).  A row whose abort flag is set
+    stops once its profile steepens past ``abort_slope``, for a handoff
+    to the polar chart: near the pins the discrete forcing
     A*sqrt(1 + u_x^2) outruns the stabilizing diffusion once the wall
     slope reaches about sqrt(2 / (A dx)), after which the first interior
     node spikes past its neighbour and the state folds, so the handoff
@@ -379,7 +397,7 @@ class _GraphChart:
         return self._us
 
     def prepare(self, ctl: StepControl, K: int):
-        self.dt_base = ctl.dt
+        self.dt_base = ctl.sample_interval
         if ctl.scheme == "explicit":
             dt_stab = ctl.cfl * self.h**2
             if ctl.dt > dt_stab * (1.0 + 1e-12):
@@ -513,8 +531,8 @@ class _PolarChart:
 
     A per-node displacement cap limits the step (steep radial walls move
     fast in rho without the curve itself moving fast); the explicit scheme
-    adds the metric-weighted bound cfl * dtheta^2 * min(M).  The nominal
-    ctl.dt is sized for the graph chart and caps only the semi-implicit one.
+    adds the metric-weighted bound cfl * dtheta^2 * min(M), and the
+    semi-implicit one is at most ctl.sample_interval.
     A chart built with ``params`` compares against both equilibria of
     those ``params``.  The stepping methods work on (k, n) arrays as in the
     graph chart.
@@ -534,7 +552,7 @@ class _PolarChart:
 
     def prepare(self, ctl: StepControl, K: int):
         self.explicit = ctl.scheme == "explicit"
-        self.dt_stab, self.dt_max = ctl.cfl * self.h**2, ctl.dt
+        self.dt_stab, self.dt_max = ctl.cfl * self.h**2, ctl.sample_interval
 
     def terms(self, inner, d1, M, F, work):
         # F = A sqrt(M) / rho - (2 rho_t^2 + rho^2) / (rho M), in place:
@@ -704,40 +722,54 @@ def _implicit_solve(r, b, d, dl, du, m):
     return b
 
 
-def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
+def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None, dts=None):
     """Advance each row of ``S`` in place from t[i] until t_end[i].
 
     ``S`` is a (K, n) array with one state of ``chart`` per row, ``t`` and
-    ``t_end`` hold K times, ``trackers`` K energy trackers (or is None)
-    and ``abort`` the K abort flags of a graph batch (or is None): a
-    flagged row stops 'steep'.  Each row takes its own steps of its own
-    size.  A row that has reached its end or stopped leaves the batch,
-    which is then packed into fewer rows, so an idle row takes no step
-    and records no energy.
+    ``t_end`` hold K times, ``trackers`` K energy trackers (or is None),
+    ``abort`` the K abort flags of a graph batch (or is None): a flagged
+    row stops 'steep', and ``dts`` the K trial steps of the semi-implicit
+    scheme, updated in place (None starts every row at ``ctl.dt``).  Each
+    row takes its own steps of its own size.  A row that has reached its
+    end or stopped leaves the batch, which is then packed into fewer rows,
+    so an idle row takes no step and records no energy.
 
     With trackers, the state after step j of the packed batch's row i is
     copied to row j * nk + i of the chart's history buffer; the chart's
     ``energy`` evaluates the buffered rows when ``ENERGY_CHUNK`` steps
     are buffered and before the batch is packed, and each tracker takes
-    its row's energies in time order.  Every energy is bitwise that of
-    its step evaluated alone, and every tracker is up to date on return.
+    its row's energies of accepted steps in time order.  Every energy is
+    bitwise that of its step evaluated alone, and every tracker is up to
+    date on return.
     Returns (t, status), lists of K entries with status 'ok', 'blown', or
     'steep' (the graph steepened past its abort slope; the caller should
     hand off to the polar chart).  A row whose step size is not positive
     (a non-finite state) is 'blown' before its step, so that it cannot
     leak into the other rows of the solve.
 
-    The semi-implicit scheme treats lap / M implicitly with M frozen and
-    moves the pinned values to the right-hand side; the rows' systems go
-    to one block-diagonal gtsv call.  Stepping buffers are allocated each
-    time the batch is packed; the history buffer grows only when more rows
-    are needed.
+    The semi-implicit step Phi_H treats lap / M implicitly with M frozen
+    and moves the pinned values to the right-hand side.  It is
+    extrapolated: from the same state a row takes Phi_H once and Phi_H/2
+    twice and moves to 2 Phi_H/2(Phi_H/2) - Phi_H, second order in H.
+    The difference of the two, max |Phi_H/2(Phi_H/2) - Phi_H|, estimates
+    the error of the step; a step whose estimate exceeds STEP_TOL / A is
+    rejected and retried from the same state.  Either way the next trial
+    step is H * clip(0.9 sqrt(tol / err), 0.2, 4), under the chart's
+    displacement cap and ``ctl.sample_interval``; an accepted step cut
+    short by the cap or the row's end does not shrink the trial step.
+    Phi_H and the first Phi_H/2 share M and F, so their systems and those
+    of every row go to one block-diagonal gtsv call.  Stepping buffers are
+    allocated each time the batch is packed; the history buffer grows
+    only when more rows are needed.
     """
     K, n = S.shape
     m, pin = n - 2, chart.pin
     chart.prepare(ctl, K)
     explicit = ctl.scheme == "explicit"
-    invh2, dt1 = float(chart.invh2), np.empty(())
+    invh2, dt1, dt2 = float(chart.invh2), np.empty(()), np.empty(())
+    tol = STEP_TOL / chart.A
+    if dts is None:
+        dts = [ctl.dt] * K
     if abort is not None and not any(abort):
         abort = None
     t, status = list(t), ["ok"] * K
@@ -746,31 +778,39 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
     while rows:
         nk = len(rows)
         times, ends = [t[row] for row in rows], [t_end[row] for row in rows]
-        stops, new = [e - 1e-14 for e in ends], [0.0] * nk
+        stops, trial = [e - 1e-14 for e in ends], [dts[row] for row in rows]
         tracked = None if trackers is None else [trackers[row] for row in rows]
         if tracked is not None:
             chart.history = _grown(chart.history, ENERGY_CHUNK * nk, n)
-            H, j = chart.history[: ENERGY_CHUNK * nk].reshape(ENERGY_CHUNK, nk, n), 0
+            hist, j = chart.history[: ENERGY_CHUNK * nk].reshape(ENERGY_CHUNK, nk, n), 0
+            skipped = []  # (j, i) of each buffered row whose step was rejected
         lo, inner, hi = X[:, :-2], X[:, 1:-1], X[:, 2:]  # views: they follow in-place updates
-        d1, M, F, rhs, W, r = np.empty((6, nk, m))  # r = dt / (h^2 M)
+        d1, M, F, rhs, W = np.empty((5, nk, m))
         if not explicit:
+            # R = dt / (h^2 M) and B, the right-hand sides, of Phi_H ([0]) and
+            # the first Phi_H/2 ([1]) of every row: one solve; Z holds the
+            # states after the first half step, pins included
+            R, B = np.empty((2, 2, nk, m))
+            Z = X.copy()
+            zlo, zinner, zhi = Z[:, :-2], Z[:, 1:-1], Z[:, 2:]
+            N = nk * m
+            d, dl, du = np.empty(2 * N), np.empty(2 * N - 1), np.empty(2 * N - 1)
+            both = R.reshape(-1), B.reshape(-1), d, dl, du, m
+            second = R[0].reshape(-1), F.reshape(-1), d[:N], dl[: N - 1], du[: N - 1], m
             # row by row: a ufunc on strided end columns costs more than a few rows
-            pinned = [(F[i], r[i]) for i in range(nk)]
-            diagonals = np.empty(nk * m), np.empty(nk * m - 1), np.empty(nk * m - 1)
-            solve = r.reshape(-1), F.reshape(-1), *diagonals, m
+            pinned = [(b[i], r[i]) for b, r in zip(B, R) for i in range(nk)]
+            pinned_second = [(F[i], R[0, i]) for i in range(nk)]
         while True:
             _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs)
             leaving = chart.guard(X, d1, k, rows, W, abort)
             steps = chart.step_size(inner, M, rhs, rows, W)
-            done = None
             for i in range(nk):
                 dt, rem = steps[i], ends[i] - times[i]
+                if not explicit and trial[i] < dt:  # min(dt, trial), NaN kept
+                    dt = trial[i]
                 if rem < dt:  # min(dt, rem), NaN kept
-                    steps[i] = dt = rem
-                new[i] = ti = times[i] + dt
-                if not ti < stops[i]:
-                    done = done or {}
-                    done[i] = "ok"
+                    dt = rem
+                steps[i] = dt
                 if not dt > 0.0:  # NaN or zero: a non-finite state
                     leaving = leaving or {}
                     leaving.setdefault(i, "blown")
@@ -782,34 +822,77 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
                 dt = dt1
             else:
                 dt = np.array(steps)[:, None]
+            done = rejected = None
             if explicit:
                 rhs *= dt
                 inner += rhs
+                for i in range(nk):
+                    times[i] = ti = times[i] + steps[i]
+                    if not ti < stops[i]:
+                        done = done or {}
+                        done[i] = "ok"
             else:
-                np.divide(dt * invh2, M, out=r)
-                F *= dt  # F becomes the right-hand side inner + dt * F
-                F += inner
-                for Fi, ri in pinned:
-                    Fi[0] += ri[0] * pin
-                    Fi[-1] += ri[-1] * pin
-                _implicit_solve(*solve)  # the solution replaces F
-                inner[...] = F
-            times, new = new, times
-            if tracked is not None:
-                H[j] = X
+                half = np.multiply(dt, _HALF, out=dt2 if nk == 1 else None)
+                np.divide(dt * invh2, M, out=R[0])
+                np.multiply(R[0], _HALF, out=R[1])
+                np.multiply(F, dt, out=B[0])  # the right-hand sides inner + dt * F
+                B[0] += inner
+                np.multiply(F, half, out=B[1])
+                B[1] += inner
+                for b, r in pinned:
+                    b[0] += r[0] * pin
+                    b[-1] += r[-1] * pin
+                _implicit_solve(*both)  # B[0] = Phi_H, B[1] = Phi_H/2
+                zinner[...] = B[1]
+                _flow_rhs(zlo, zinner, zhi, chart, d1, M, F, rhs)
+                np.divide(half * invh2, M, out=R[0])
+                F *= half
+                F += zinner
+                for b, r in pinned_second:
+                    b[0] += r[0] * pin
+                    b[-1] += r[-1] * pin
+                _implicit_solve(*second)  # F = Phi_H/2(Phi_H/2)
+                np.subtract(F, B[0], out=W)
+                errs = _max(np.abs(W, out=rhs), 1).tolist()
+                for i in range(nk):
+                    err, dt_i = errs[i], steps[i]
+                    # a NaN estimate passes: its row is blown before its next step
+                    if err > tol:  # retried from the same state
+                        trial[i] = dt_i * max(0.2, 0.9 * sqrt(tol / err))
+                        rejected = rejected or set()
+                        rejected.add(i)
+                        continue
+                    grown = dt_i * (min(4.0, 0.9 * sqrt(tol / err)) if err > 0.0 else 4.0)
+                    if grown > trial[i] or not dt_i < trial[i]:  # a step cut short shrinks nothing
+                        trial[i] = grown
+                    times[i] = ti = times[i] + dt_i
+                    if not ti < stops[i]:
+                        done = done or {}
+                        done[i] = "ok"
+                F += W  # 2 Phi_H/2(Phi_H/2) - Phi_H
+                if rejected is None:
+                    inner[...] = F
+                else:
+                    for i in range(nk):
+                        if i not in rejected:
+                            inner[i] = F[i]
+            if tracked is not None and (rejected is None or len(rejected) < nk):
+                hist[j] = X
+                if rejected is not None:
+                    skipped.extend((j, i) for i in rejected)
                 j += 1
                 if j == ENERGY_CHUNK:
-                    _track(chart, H, j, tracked)
+                    _track(chart, hist, j, tracked, skipped)
                     j = 0
             if done:
                 leaving = done
                 break
         if tracked is not None and j:
-            _track(chart, H, j, tracked)
+            _track(chart, hist, j, tracked, skipped)
         for i, row in enumerate(rows):
             if i in leaving:
                 status[row] = leaving[i]
-            t[row] = times[i]
+            t[row], dts[row] = times[i], trial[i]
         if X is not S:
             S[rows] = X
         rows = [row for i, row in enumerate(rows) if i not in leaving]
@@ -818,12 +901,17 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None):
     return t, status
 
 
-def _track(chart, H, j, trackers):
-    """Fold the energies of the first j buffered steps into the trackers."""
-    nk, n = H.shape[1:]
-    Es = chart.energy(H[:j].reshape(j * nk, n))
+def _track(chart, hist, j, trackers, skipped):
+    """Fold the energies of the first j buffered steps into the trackers,
+    leaving out the ``skipped`` (step, row) entries, and empty ``skipped``."""
+    nk, n = hist.shape[1:]
+    Es = chart.energy(hist[:j].reshape(j * nk, n))
+    for jj, i in skipped:
+        Es[jj * nk + i] = None
     for i, tracker in enumerate(trackers):
-        tracker.extend(Es[i::nk])
+        row = Es[i::nk]
+        tracker.extend([E for E in row if E is not None] if skipped else row)
+    skipped.clear()
 
 
 def advance_graph(g: GraphProfile, ctl: StepControl, t_end: float) -> GraphProfile:
@@ -942,18 +1030,20 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
 
 
 class _Run:
-    """One member of a batch: its chart, state, time, tracker and records."""
+    """One member of a batch: its chart, state, time, trial step, tracker
+    and records."""
 
-    __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "abort", "tracker",
+    __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "dt", "abort", "tracker",
                  "history", "snapshots", "diagnostics", "event")
 
-    def __init__(self, index, fam, chart, s, history):
+    def __init__(self, index, fam, chart, s, dt, history):
         self.index, self.fam, self.chart, self.s, self.t = index, fam, chart, s, 0.0
-        self.abort, self.tracker, self.history = True, _EnergyTracker(), history
+        self.dt, self.abort, self.tracker, self.history = dt, True, _EnergyTracker(), history
         self.snapshots, self.diagnostics, self.event = [], [], None
 
-    def switch(self, chart, s):
-        self.chart, self.s = chart, s
+    def switch(self, chart, s, dt):
+        """Continue in ``chart`` from state ``s`` with the trial step ``dt``."""
+        self.chart, self.s, self.dt = chart, s, dt
         self.tracker.reset()
 
     def sample(self, ctl, tols, horizon, other):
@@ -971,7 +1061,7 @@ class _Run:
         if self.event is None:
             switched = chart.leave(curve, self.s)
             if switched is not None:
-                self.switch(other, switched)
+                self.switch(other, switched, ctl.dt)
             self.t_next = min(self.t + ctl.sample_interval, horizon)
 
     def trajectory(self) -> Trajectory:
@@ -1011,7 +1101,8 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     horizon = min(ctl.t_max, tols.t_max)
 
     runs = [
-        _Run(i, fam, graph, initial_curve(fam).u.copy(), history) for i, fam in enumerate(fams)
+        _Run(i, fam, graph, initial_curve(fam).u.copy(), ctl.dt, history)
+        for i, fam in enumerate(fams)
     ]
     while runs:
         for run in runs:
@@ -1024,14 +1115,15 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
                 ]
                 if not group:
                     break
-                S = np.array([run.s for run in group])
+                S, dts = np.array([run.s for run in group]), [run.dt for run in group]
                 t, status = _advance(
                     S, chart, [run.t for run in group], [run.t_next for run in group], ctl,
                     [run.tracker for run in group] if history else None,
                     [run.abort for run in group] if chart is graph else None,
+                    dts,
                 )
-                for run, s, t_run, st in zip(group, S, t, status):
-                    run.s, run.t = s, t_run
+                for run, s, t_run, dt, st in zip(group, S, t, dts, status):
+                    run.s, run.t, run.dt = s, t_run, dt
                     if st == "blown":
                         run.event = TerminationEvent(EventKind.BLOWUP, t_run, f"in {chart.name} chart")
                     elif st == "steep":
@@ -1041,7 +1133,7 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
                         if switched is None:
                             run.abort = False
                         else:
-                            run.switch(polar, switched)
+                            run.switch(polar, switched, ctl.dt)
         for run in runs:
             if run.event is not None:
                 yield run.index, run.trajectory()

@@ -1,9 +1,10 @@
-"""Acceptance suite: ten checks covering the package's core guarantees.
+"""Acceptance suite: eleven checks covering the package's core guarantees.
 
 Each criterion is a function of a shared :class:`VerificationContext`
 that lazily runs and caches the expensive simulations (the three
 lower-convergence runs, the grim-reaper escape run, the two-grid
-threshold bisections, and the near-critical run).  Both the command-line
+threshold bisections, the grid-201 bisection at a tenth of the step
+tolerance, and the near-critical run).  Both the command-line
 ``verify`` entry point and the pytest acceptance module drive the same
 functions through ``run_one``, which also times each call, so the
 printed table and the test suite cannot drift apart.
@@ -22,6 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
+from . import evolvers
 from .analysis import SgnWord, gap_profile, intersection_audit, subword
 from .classifier import (
     Category,
@@ -109,6 +111,18 @@ class VerificationContext:
         return bisect_sigma_star(
             fam, 0.1, grim_reaper_dominating_sigma(params), 0.01, ctl, self.tols
         )
+
+    @cached_property
+    def bracket_201_fine(self):
+        """The grid-201 bracket of ``bracket_201`` at a tenth of the step tolerance."""
+        tol = evolvers.STEP_TOL
+        evolvers.STEP_TOL = tol / 10
+        try:
+            return bisect_sigma_star(
+                self.family(0.0), 0.1, self.escape_sigma, 0.01, self.ctl, self.tols
+            )
+        finally:
+            evolvers.STEP_TOL = tol
 
     @cached_property
     def refined_bracket(self):
@@ -415,6 +429,25 @@ def criterion_10(ctx: VerificationContext) -> CriterionResult:
     )
 
 
+def criterion_11(ctx: VerificationContext) -> CriterionResult:
+    """The critical amplitude is converged in time: a tenth of the step
+    tolerance returns the same grid-201 bracket."""
+    br, fine = ctx.bracket_201, ctx.bracket_201_fine
+
+    def ends(b):
+        return b.lo, b.hi, b.lo_category, b.hi_category
+
+    ok = ends(br) == ends(fine)
+    tol = evolvers.STEP_TOL
+    return CriterionResult(
+        11,
+        "time refinement of the critical amplitude",
+        ok,
+        f"bracket [{br.lo:.6f},{br.hi:.6f}] at step tolerance {tol:.0e}, "
+        f"[{fine.lo:.6f},{fine.hi:.6f}] at {tol / 10:.0e} (bound: identical)",
+    )
+
+
 CRITERIA = {
     1: criterion_1,
     2: criterion_2,
@@ -426,6 +459,7 @@ CRITERIA = {
     8: criterion_8,
     9: criterion_9,
     10: criterion_10,
+    11: criterion_11,
 }
 
 

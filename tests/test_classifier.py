@@ -10,6 +10,7 @@ from extremalflow import (
     StepControl,
     grim_reaper_dominating_sigma,
 )
+from extremalflow import evolvers
 from extremalflow.classifier import (
     Bracket,
     Category,
@@ -309,3 +310,16 @@ def test_bracket_midpoints_stable_across_grids(tols):
     assert abs(mids[101] - mids[201]) < 0.05
     assert abs(mids[201] - mids[401]) < 0.05
 
+
+def test_bracket_stable_under_step_tolerance(params_coarse, template, ctl, tols, monkeypatch):
+    # the default bracket is converged in time: a tenth of the step
+    # tolerance returns the same one (criterion 11 checks grid 201)
+    hi = grim_reaper_dominating_sigma(params_coarse)
+
+    def bracket():
+        br = bisect_sigma_star(template, 0.1, hi, 0.01, ctl, tols)
+        return br.lo, br.hi, br.lo_category, br.hi_category
+
+    default = bracket()
+    monkeypatch.setattr(evolvers, "STEP_TOL", evolvers.STEP_TOL / 10)
+    assert bracket() == default

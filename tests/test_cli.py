@@ -201,5 +201,5 @@ def test_verify_with_coarse_config(tmp_path, capsys):
 
 
 def test_verify_rejects_bad_selection(capsys):
-    assert main(["verify", "--only", "11"]) == 1
+    assert main(["verify", "--only", "12"]) == 1
     assert main(["verify", "--only", "abc"]) == 1

@@ -306,6 +306,23 @@ def test_grid_convergence_order():
     assert np.log2(e1 / e2) >= 1.7
 
 
+def test_extrapolated_step_is_second_order(monkeypatch):
+    # one semi-implicit step of size H against 64 steps of H / 64 from a
+    # smooth state: the local error of the extrapolated step falls about 8x
+    # per halving of H (about 4x without the extrapolation).  H is below
+    # dx^2, where the stiff diffusion does not yet reduce the order.
+    monkeypatch.setattr(evolvers, "STEP_TOL", np.inf)  # accept every step
+    p = ProblemParams(A=1.0, a=0.5, grid_n=101)
+    ctl = StepControl.for_params(p, scheme="semi_implicit")
+    g = initial_curve(InitialFamily(p, sigma=0.1))
+    errs = []
+    for H in (4e-6, 2e-6, 1e-6):
+        one = advance_graph(g, replace(ctl, dt=H, sample_interval=H), H).u
+        ref = advance_graph(g, replace(ctl, dt=H / 64, sample_interval=H / 64), H).u
+        errs.append(np.max(np.abs(one - ref)))
+    assert errs[0] / errs[1] >= 6.0 and errs[1] / errs[2] >= 6.0
+
+
 # --- chart switching ------------------------------------------------------------------
 
 
@@ -540,6 +557,30 @@ def test_chunked_energy_audit_matches_per_step(monkeypatch, chunk):
     assert len({len(done[i].diagnostics) for i in done}) > 1  # finished apart
     for i, s in enumerate(sigmas):
         assert done[i].max_step_energy_increase.hex() == default[s]
+
+
+def test_rejected_steps_leave_members_and_trackers_alone(monkeypatch):
+    # a tight tolerance makes members reject steps that the rest of their
+    # batch accepts: a rejected step moves neither the member's state nor
+    # its time, and its energy never reaches the tracker, whatever the chunk
+    monkeypatch.setattr(evolvers, "STEP_TOL", 1e-5)
+    track, skipped_rows = evolvers._track, []
+
+    def spy(chart, hist, j, trackers, skipped):
+        skipped_rows.extend(skipped)
+        track(chart, hist, j, trackers, skipped)
+
+    monkeypatch.setattr(evolvers, "_track", spy)
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in (0.1, 2.9, 10.0, -1.0, 0.5)]
+    alone = [evolve(fam, _BATCH_CTL, _BATCH_TOLS) for fam in fams]
+    done = dict(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
+    assert skipped_rows  # buffered steps of a batch held rejected rows
+    for i, traj in enumerate(alone):
+        _assert_same_run(done[i], traj)
+    monkeypatch.setattr(evolvers, "ENERGY_CHUNK", 1)
+    per_step = dict(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
+    for i in done:
+        assert per_step[i].max_step_energy_increase.hex() == done[i].max_step_energy_increase.hex()
 
 
 def test_evolve_leaves_no_reference_cycles():
