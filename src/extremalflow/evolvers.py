@@ -8,17 +8,17 @@ whichever chart currently represents the curve:
                 + (A / rho) sqrt(W^2),   W^2 = rho^2 + rho_t^2, rho(0,pi) = a
 
 Both are s_t = s_qq / M + F, stepped by one loop, ``_advance``, that owns
-the central-difference stencils, explicit Euler under a CFL cap, and a
-semi-implicit variant for long runs where the explicit parabolic step
-restriction is the bottleneck.  The semi-implicit step is linearly
-implicit Euler (diffusion implicit with frozen coefficients, forcing
-explicit; Ascher, Ruuth and Wetton 1995) extrapolated to second order
-from one full and two half steps, whose difference sets an adaptive
-step size per row (Hairer and Wanner, Solving ODEs II, IV.9): each row
-takes the step its error tolerance allows, at most
-``ctl.sample_interval``.  A chart object supplies what differs:
-spacing and pinned value, M, F and the speed factor, the step-size
-rule, the guards, the sampled points and the diagnostics.  Shared
+the central-difference stencils and the step size, one rule per scheme.
+Explicit Euler steps by cfl h^2 min(M), the parabolic bound of each row.
+The semi-implicit variant, for long runs where that bound is the
+bottleneck, is linearly implicit Euler (diffusion implicit with frozen
+coefficients, forcing explicit; Ascher, Ruuth and Wetton 1995)
+extrapolated to second order from one full and two half steps, whose
+difference sets an adaptive step size per row (Hairer and Wanner,
+Solving ODEs II, IV.9): each row takes the step its error tolerance
+allows, at most ``ctl.sample_interval``.  A chart object supplies what
+differs: spacing and pinned value, M, F and the speed factor, the
+guards, the sampled points and the diagnostics.  Shared
 stencils make the discrete equilibria coincide.  The stencil is the
 package's one curvature: the right-hand side is V sqrt(M) / f, with V = A - kappa the
 normal velocity and f = 1 (graph) or rho (polar); the curvature
@@ -44,9 +44,10 @@ solve.  Row reductions (max, min, sum along a row) are bitwise those of
 the row alone, and a row's step size and its acceptance read only its
 own error estimate, so a member of a batch steps exactly as it would by
 itself.  The guards are written so that NaN fails them (the graph chart
-checks every 32 steps); a row whose step size is not a positive number
-is 'blown' before the solve, where it would reach its neighbours
-through the zero coupling.  Buffers are reused across steps.
+checks every 32 steps); a row whose right-hand side is not finite is
+'blown' before its step, which would carry it into its neighbours
+through the zero coupling (0 * inf is NaN).  Buffers are reused across
+steps.
 
 ``evolve_batch`` drives full runs from family curves: every member
 switches charts when its graph representation steepens past the fixed
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -118,9 +119,6 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e6
 ORIGIN_LIMIT = 1e-9
-# Relative single-step displacement cap; guards accuracy through stiff
-# transients without throttling smooth evolution.
-STEP_FRACTION = 0.05
 # Graph slope past which a sample hands the curve to the polar chart; the
 # polar chart hands it back below half of it.
 SLOPE_SWITCH = 10.0
@@ -136,7 +134,7 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 # The loop's constant operands are 0-d arrays (the charts' as well): a
 # ufunc takes one in about 0.3 us and a Python float in about 0.45 us,
 # for the same arithmetic.
-_HALF, _ONE, _TWO, _TINY = np.array(0.5), np.array(1.0), np.array(2.0), np.array(1e-300)
+_HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
 _NO_ROWS = np.empty((0, 0))
 
 
@@ -154,16 +152,11 @@ class StepControl:
     """Stepping parameters, for any grid.
 
     ``scheme`` selects 'explicit' Euler or the 'semi_implicit'
-    linearized-diffusion variant.  In the explicit scheme ``dt`` is the
-    nominal step, clipped by a displacement cap; the explicit polar
-    chart ignores it and steps by the smaller of its cap and
-    cfl * dtheta^2 * min(M).  In the semi-implicit scheme ``dt`` is the
-    first trial step of an error-controlled step size (see ``_advance``),
-    under the same displacement cap; no semi-implicit step exceeds
-    ``sample_interval``.  An explicit ``dt`` must satisfy
-    dt <= cfl * dx^2 on the graph grid it steps; that grid is known only
-    when stepping starts, so the graph chart checks it there.  Build one
-    with ``for_params``, which states the defaults.
+    linearized-diffusion variant.  The explicit step is cfl * h^2 * min(M)
+    on the grid being stepped (see ``_advance``).  ``dt`` is read only as
+    the first trial step of the semi-implicit scheme's error-controlled
+    step size; no semi-implicit step exceeds ``sample_interval``.  Build
+    one with ``for_params``, which states the defaults.
     """
 
     dt: float
@@ -191,8 +184,9 @@ class StepControl:
         sample_interval: float = 0.1,
     ) -> "StepControl":
         """Controls sized for the grid of ``params``: dt = cfl * dx^2 for
-        the explicit scheme, a first trial step dt = 0.1 * dx for the
-        semi-implicit one."""
+        the explicit scheme (its step on a graph with a node of zero
+        slope), a first trial step dt = 0.1 * dx for the semi-implicit
+        one."""
         dx = params.dx
         return cls(
             dt=cfl * dx**2 if scheme == "explicit" else 0.1 * dx,
@@ -357,21 +351,17 @@ class _EnergyTracker:
 class _GraphChart:
     """Graph heights u(x), pinned to 0: M = 1 + u_x^2, F = A sqrt(M).
 
-    The explicit step is ctl.dt, at most cfl * dx^2 (the graph diffusion
-    coefficient never exceeds 1); the semi-implicit one is at most
-    ctl.sample_interval.  Both are under a displacement cap relative to
-    max |u| (refreshed every 32 steps).  A row whose abort flag is set
-    stops once its profile steepens past ``abort_slope``, for a handoff
-    to the polar chart: near the pins the discrete forcing
-    A*sqrt(1 + u_x^2) outruns the stabilizing diffusion once the wall
-    slope reaches about sqrt(2 / (A dx)), after which the first interior
-    node spikes past its neighbour and the state folds, so the handoff
-    fires well before that.  Only a chart built with ``params`` (that of
-    a full run) can abort; it compares against the lower equilibrium of
-    those ``params``.
+    Since M >= 1, the explicit step cfl * dx^2 * min(M) is cfl * dx^2 on
+    a graph with a node of zero slope.  A chart built with ``params``
+    (that of a full run) stops a row once its profile steepens past
+    ``abort_slope``, for a handoff to the polar chart: near the pins the
+    discrete forcing A*sqrt(1 + u_x^2) outruns the stabilizing diffusion
+    once the wall slope reaches about sqrt(2 / (A dx)), after which the
+    first interior node spikes past its neighbour and the state folds,
+    so the handoff fires well before that.  It compares against the
+    lower equilibrium of those ``params``.
 
-    The stepping methods take a (k, n) array of states, one per row;
-    ``rows`` names each row's index in the batch being advanced.
+    The stepping methods take a (k, n) array of states, one per row.
     """
 
     # P = (-a, 0) is the first node, so the first interior node is next to it
@@ -396,15 +386,6 @@ class _GraphChart:
             self._X, self._us = X, list(X)
         return self._us
 
-    def prepare(self, ctl: StepControl, K: int):
-        self.dt_base = ctl.sample_interval
-        if ctl.scheme == "explicit":
-            dt_stab = ctl.cfl * self.h**2
-            if ctl.dt > dt_stab * (1.0 + 1e-12):
-                raise ValueError("explicit scheme requires dt <= cfl * dx^2")
-            self.dt_base = min(ctl.dt, dt_stab)
-        self.umax = [0.0] * K
-
     def terms(self, inner, d1, M, F, work):
         np.multiply(d1, d1, out=M)
         M += _ONE
@@ -415,14 +396,10 @@ class _GraphChart:
         """u_t = V sqrt(M): the factor is 1."""
         return _ONE
 
-    def guard(self, X, d1, k, rows, W, abort):
-        """{row position: 'steep' or 'blown'} for the rows that must stop, or None.
-
-        ``abort`` holds the abort flag of each row of the batch, or is None
-        when no row may stop steep.
-        """
+    def guard(self, X, d1, k, W):
+        """{row position: 'steep' or 'blown'} for the rows that must stop, or None."""
         hits = None
-        if abort is not None:
+        if self.params is not None:
             # the foot steepening is exponential in time, so the handoff
             # threshold must be watched every step
             np.abs(d1, out=W)
@@ -433,17 +410,16 @@ class _GraphChart:
                 near = near or u[1] > s_min or u[-2] > s_min
             if near:
                 dmax = _max(W, 1)
-                for i, r in enumerate(rows):
-                    if abort[r] and (dmax[i] > self.abort_slope or self._spike(us[i])):
+                for i, u in enumerate(us):
+                    if dmax[i] > self.abort_slope or self._spike(u):
                         hits = hits or {}
                         hits[i] = "steep"
         if k % 32 == 0:
             # written so that a NaN fails the test
-            umax = _max(np.abs(X), 1).tolist()
-            dmax = _max(np.abs(d1), 1).tolist()
-            for i, r in enumerate(rows):
-                self.umax[r] = umax[i]
-                if not (umax[i] <= BLOWUP_LIMIT and dmax[i] <= BLOWUP_LIMIT):
+            heights = _max(np.abs(X), 1).tolist()
+            slopes = _max(np.abs(d1), 1).tolist()
+            for i in range(len(heights)):
+                if not (heights[i] <= BLOWUP_LIMIT and slopes[i] <= BLOWUP_LIMIT):
                     hits = hits or {}
                     hits.setdefault(i, "blown")
         return hits
@@ -455,15 +431,6 @@ class _GraphChart:
         return bool(
             (u[1] > s_min and u[1] > 0.9 * u[2]) or (u[-2] > s_min and u[-2] > 0.9 * u[-3])
         )
-
-    def step_size(self, inner, M, rhs, rows, W):
-        steps = _max(np.abs(rhs, out=W), 1).tolist()
-        umax, dt_base = self.umax, self.dt_base
-        i = 0
-        for r in rows:  # NaN first, so that min() passes it on
-            steps[i] = min(STEP_FRACTION * (1.0 + umax[r]) / (steps[i] + 1e-300), dt_base)
-            i += 1
-        return steps
 
     def energy(self, X):
         """E = L - A*S per row: ``analysis.energy`` of the row's sample,
@@ -507,7 +474,7 @@ class _GraphChart:
         reconstruction must reproduce the heights to within a small
         fraction of the profile scale.  After a ``steep`` abort the graph
         chart is about to fail and any star-shaped resampling beats none;
-        without one the caller disables the abort.
+        without one the run ends as a blow-up in the graph chart.
         """
         if not steep and float(np.max(np.abs(np.diff(u)))) / self.h <= SLOPE_SWITCH:
             return None
@@ -529,13 +496,10 @@ class _PolarChart:
     """Polar radii rho(theta), pinned to a: M = rho^2 + rho_theta^2 and
     F = -(2 rho_theta^2 + rho^2) / (rho M) + A sqrt(M) / rho.
 
-    A per-node displacement cap limits the step (steep radial walls move
-    fast in rho without the curve itself moving fast); the explicit scheme
-    adds the metric-weighted bound cfl * dtheta^2 * min(M), and the
-    semi-implicit one is at most ctl.sample_interval.
-    A chart built with ``params`` compares against both equilibria of
-    those ``params``.  The stepping methods work on (k, n) arrays as in the
-    graph chart.
+    The explicit step cfl * dtheta^2 * min(M) is weighted by the metric,
+    as the diffusion coefficient 1 / M is.  A chart built with ``params``
+    compares against both equilibria of those ``params``.  The stepping
+    methods work on (k, n) arrays as in the graph chart.
     """
 
     # P = (-a, 0) sits at theta = pi, the last node
@@ -549,10 +513,6 @@ class _PolarChart:
         if params is not None:
             self.theta = params.theta_nodes()
             self.lower, self.upper = gamma_lower_polar(params).rho, gamma_upper(params).rho
-
-    def prepare(self, ctl: StepControl, K: int):
-        self.explicit = ctl.scheme == "explicit"
-        self.dt_stab, self.dt_max = ctl.cfl * self.h**2, ctl.sample_interval
 
     def terms(self, inner, d1, M, F, work):
         # F = A sqrt(M) / rho - (2 rho_t^2 + rho^2) / (rho M), in place:
@@ -574,27 +534,16 @@ class _PolarChart:
         """rho_t = V sqrt(M) / rho: the factor is rho."""
         return inner
 
-    def guard(self, X, d1, k, rows, W, abort):
+    def guard(self, X, d1, k, W):
         # written so that a NaN fails the test
         if ORIGIN_LIMIT < _min(X, None) and _max(X, None) < BLOWUP_LIMIT:
             return None
         low, high = _min(X, 1), _max(X, 1)
         return {
             i: "blown"
-            for i in range(len(rows))
+            for i in range(len(X))
             if not (ORIGIN_LIMIT < low[i] and high[i] < BLOWUP_LIMIT)
         }
-
-    def step_size(self, inner, M, rhs, rows, W):
-        np.abs(rhs, out=W)
-        W += _TINY
-        steps = _min(np.divide(inner, W, out=W), 1).tolist()
-        caps = _min(M, 1).tolist() if self.explicit else None
-        for i in range(len(steps)):  # NaN first, so that min() passes it on
-            steps[i] = min(
-                STEP_FRACTION * steps[i], self.dt_stab * caps[i] if caps else self.dt_max
-            )
-        return steps
 
     def energy(self, X):
         """E = L - A*S per row: ``analysis.energy`` of the row's sample,
@@ -722,17 +671,16 @@ def _implicit_solve(r, b, d, dl, du, m):
     return b
 
 
-def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None, dts=None):
+def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
     """Advance each row of ``S`` in place from t[i] until t_end[i].
 
     ``S`` is a (K, n) array with one state of ``chart`` per row, ``t`` and
     ``t_end`` hold K times, ``trackers`` K energy trackers (or is None),
-    ``abort`` the K abort flags of a graph batch (or is None): a flagged
-    row stops 'steep', and ``dts`` the K trial steps of the semi-implicit
-    scheme, updated in place (None starts every row at ``ctl.dt``).  Each
-    row takes its own steps of its own size.  A row that has reached its
-    end or stopped leaves the batch, which is then packed into fewer rows,
-    so an idle row takes no step and records no energy.
+    and ``dts`` the K trial steps of the semi-implicit scheme, updated in
+    place (None starts every row at ``ctl.dt``).  Each row takes its own
+    steps of its own size.  A row that has reached its end or stopped
+    leaves the batch, which is then packed into fewer rows, so an idle
+    row takes no step and records no energy.
 
     With trackers, the state after step j of the packed batch's row i is
     copied to row j * nk + i of the chart's history buffer; the chart's
@@ -743,9 +691,14 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None, dts=None):
     date on return.
     Returns (t, status), lists of K entries with status 'ok', 'blown', or
     'steep' (the graph steepened past its abort slope; the caller should
-    hand off to the polar chart).  A row whose step size is not positive
-    (a non-finite state) is 'blown' before its step, so that it cannot
-    leak into the other rows of the solve.
+    hand off to the polar chart).
+
+    The loop owns the step size, one rule per scheme, each cut to the
+    row's end.  An explicit step is cfl h^2 min(M), the parabolic bound
+    of s_t = s_qq / M + F on the row.  A semi-implicit step is the row's
+    trial step (below), at most ``ctl.sample_interval``.  A row whose
+    right-hand side is not finite (NaN or +-inf) is 'blown' before its
+    step, so that it cannot leak into the other rows of the solve.
 
     The semi-implicit step Phi_H treats lap / M implicitly with M frozen
     and moves the pinned values to the right-hand side.  It is
@@ -754,9 +707,9 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None, dts=None):
     The difference of the two, max |Phi_H/2(Phi_H/2) - Phi_H|, estimates
     the error of the step; a step whose estimate exceeds STEP_TOL / A is
     rejected and retried from the same state.  Either way the next trial
-    step is H * clip(0.9 sqrt(tol / err), 0.2, 4), under the chart's
-    displacement cap and ``ctl.sample_interval``; an accepted step cut
-    short by the cap or the row's end does not shrink the trial step.
+    step is H * clip(0.9 sqrt(tol / err), 0.2, 4); an accepted step cut
+    short by ``ctl.sample_interval`` or the row's end does not shrink the
+    trial step.
     Phi_H and the first Phi_H/2 share M and F, so their systems and those
     of every row go to one block-diagonal gtsv call.  Stepping buffers are
     allocated each time the batch is packed; the history buffer grows
@@ -764,14 +717,12 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None, dts=None):
     """
     K, n = S.shape
     m, pin = n - 2, chart.pin
-    chart.prepare(ctl, K)
     explicit = ctl.scheme == "explicit"
+    dt_stab, dt_max = ctl.cfl * chart.h**2, ctl.sample_interval
     invh2, dt1, dt2 = float(chart.invh2), np.empty(()), np.empty(())
     tol = STEP_TOL / chart.A
     if dts is None:
         dts = [ctl.dt] * K
-    if abort is not None and not any(abort):
-        abort = None
     t, status = list(t), ["ok"] * K
     rows = [row for row in range(K) if t[row] < t_end[row] - 1e-14]
     X, k = (S if len(rows) == K else S[rows]), 0
@@ -802,16 +753,17 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, abort=None, dts=None):
             pinned_second = [(F[i], R[0, i]) for i in range(nk)]
         while True:
             _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs)
-            leaving = chart.guard(X, d1, k, rows, W, abort)
-            steps = chart.step_size(inner, M, rhs, rows, W)
+            leaving = chart.guard(X, d1, k, W)
+            # explicit: cfl h^2 min(M), the parabolic bound of s_t = s_qq / M + F
+            steps = _min(M, 1).tolist() if explicit else trial[:]
+            rhs_sum = _sum(rhs, 1).tolist()  # NaN or +-inf if an entry is, or on overflow
             for i in range(nk):
-                dt, rem = steps[i], ends[i] - times[i]
-                if not explicit and trial[i] < dt:  # min(dt, trial), NaN kept
-                    dt = trial[i]
+                dt = dt_stab * steps[i] if explicit else min(steps[i], dt_max)
+                rem = ends[i] - times[i]
                 if rem < dt:  # min(dt, rem), NaN kept
                     dt = rem
                 steps[i] = dt
-                if not dt > 0.0:  # NaN or zero: a non-finite state
+                if not (-inf < rhs_sum[i] < inf and dt > 0.0):
                     leaving = leaving or {}
                     leaving.setdefault(i, "blown")
             if leaving:
@@ -1021,7 +973,9 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
     * ``ChartLoss``         -- endpoint tangent turning outward-horizontal
                                in the polar chart before escape,
     * ``HorizonReached``    -- the time horizon min(ctl.t_max, tols.t_max),
-    * ``Blowup``            -- state out of representable range.
+    * ``Blowup``            -- state out of representable range, or a
+                               graph too steep to go on with no polar
+                               resampling.
 
     This is the one-member case of ``evolve_batch``.
     """
@@ -1033,12 +987,12 @@ class _Run:
     """One member of a batch: its chart, state, time, trial step, tracker
     and records."""
 
-    __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "dt", "abort", "tracker",
-                 "history", "snapshots", "diagnostics", "event")
+    __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "dt", "tracker", "history",
+                 "snapshots", "diagnostics", "event")
 
     def __init__(self, index, fam, chart, s, dt, history):
         self.index, self.fam, self.chart, self.s, self.t = index, fam, chart, s, 0.0
-        self.dt, self.abort, self.tracker, self.history = dt, True, _EnergyTracker(), history
+        self.dt, self.tracker, self.history = dt, _EnergyTracker(), history
         self.snapshots, self.diagnostics, self.event = [], [], None
 
     def switch(self, chart, s, dt):
@@ -1119,21 +1073,20 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
                 t, status = _advance(
                     S, chart, [run.t for run in group], [run.t_next for run in group], ctl,
                     [run.tracker for run in group] if history else None,
-                    [run.abort for run in group] if chart is graph else None,
                     dts,
                 )
                 for run, s, t_run, dt, st in zip(group, S, t, dts, status):
                     run.s, run.t, run.dt = s, t_run, dt
-                    if st == "blown":
-                        run.event = TerminationEvent(EventKind.BLOWUP, t_run, f"in {chart.name} chart")
-                    elif st == "steep":
+                    if st == "steep":
                         # hand off mid-interval: the graph representation
                         # fails shortly after this steepness
                         switched = chart.leave(chart.sample(s), s, steep=True)
                         if switched is None:
-                            run.abort = False
+                            st = "blown"
                         else:
                             run.switch(polar, switched, ctl.dt)
+                    if st == "blown":
+                        run.event = TerminationEvent(EventKind.BLOWUP, t_run, f"in {chart.name} chart")
         for run in runs:
             if run.event is not None:
                 yield run.index, run.trajectory()

@@ -56,13 +56,30 @@ def test_step_control_validation(params):
     assert ctl.dt == pytest.approx(0.2 * params.dx**2)
 
 
-def test_explicit_dt_is_checked_on_the_grid_stepped(params, params_coarse):
-    # dt = cfl * dx^2 of grid 101 is four times the bound of grid 201
-    coarse = StepControl.for_params(params_coarse, cfl=0.2)
-    g = gamma_lower(params)
-    with pytest.raises(ValueError, match=r"dt <= cfl \* dx\^2"):
-        advance_graph(g, coarse, 0.01)
-    advance_graph(gamma_lower(params_coarse), coarse, coarse.dt)  # its own grid steps
+def test_step_rule_sets_the_step_counts(monkeypatch, params, explicit, semi):
+    # _flow_rhs runs once per explicit step and twice per semi-implicit one.
+    # The explicit step is cfl * h^2 * min(M): cfl * dtheta^2 * min(M) on
+    # the polar upper arc, and exactly cfl * dx^2 on the graph of the lower
+    # arc, whose apex has M = 1.  The semi-implicit step is error-controlled
+    # and at most sample_interval = 0.1; without that bound the hold takes
+    # fewer, larger steps.
+    calls = []
+    flow_rhs = evolvers._flow_rhs
+
+    def spy(*args):
+        calls.append(None)
+        flow_rhs(*args)
+
+    monkeypatch.setattr(evolvers, "_flow_rhs", spy)
+
+    def steps(advance, profile, ctl, t_end):
+        calls.clear()
+        advance(profile, ctl, t_end)
+        return len(calls) // (1 if ctl is explicit else 2)
+
+    assert steps(advance_polar, gamma_upper(params), explicit, 0.1) == 1921
+    assert steps(advance_graph, gamma_lower(params), explicit, 0.01) == 2000
+    assert steps(advance_graph, gamma_lower(params), semi, 5.0) == 54
 
 
 @pytest.mark.parametrize("field", ["dt", "cfl", "t_max", "sample_interval"])
@@ -129,24 +146,29 @@ def test_blowup_guards(params, explicit):
 @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
 @pytest.mark.parametrize("chart", ["graph", "polar"])
 def test_nan_state_is_blown(params, scheme, chart):
-    # every comparison with NaN is false, so the guards must be written to fail on it
+    # every comparison with NaN is false, so the guards must be written to
+    # fail on it; +-inf must fail them as well
     ctl = StepControl.for_params(params, scheme=scheme)
     if chart == "graph":
-        s, c = gamma_lower(params).u.copy(), evolvers._GraphChart(params.dx, params.A)
+        base, c = gamma_lower(params).u, evolvers._GraphChart(params.dx, params.A)
     else:
-        s = gamma_lower_polar(params).rho.copy()
+        base = gamma_lower_polar(params).rho
         c = evolvers._PolarChart(params.dtheta, params.A, params.a)
-    s[params.grid_n // 3] = np.nan
-    (t,), (status,) = evolvers._advance(s[None], c, [0.0], [10 * ctl.dt], ctl)
-    assert status == "blown" and np.isfinite(t)
+    for bad in (np.nan, np.inf, -np.inf):
+        s = base.copy()
+        s[params.grid_n // 3] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf
+            (t,), (status,) = evolvers._advance(s[None], c, [0.0], [10 * ctl.dt], ctl)
+        assert status == "blown" and np.isfinite(t), bad
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
 @pytest.mark.parametrize("chart", ["graph", "polar"])
 def test_nan_row_is_retired_before_its_step(params, scheme, chart):
-    # with the guards off only the step size sees the NaN row; it must leave
-    # the batch before the block solve, which would carry NaN into the rows
-    # beside it through the zero coupling
+    # with the guards off only the loop's screen of the right-hand side
+    # sees the NaN or +-inf row; it must leave the batch before its step
+    # (in the block solve the zero coupling would carry 0 * inf = NaN into
+    # the rows beside it)
     ctl = StepControl.for_params(params, scheme=scheme)
     if chart == "graph":
         base, c = gamma_lower(params).u, evolvers._GraphChart(params.dx, params.A)
@@ -155,16 +177,19 @@ def test_nan_row_is_retired_before_its_step(params, scheme, chart):
         c = evolvers._PolarChart(params.dtheta, params.A, params.a)
     c.guard = lambda *args: None
     n = params.grid_n
-    S = base + 1e-3 * np.sin(np.pi * np.arange(n) / (n - 1)) * np.array([[1.0], [2.0], [3.0]])
-    S[1, n // 3] = np.nan
+    start = base + 1e-3 * np.sin(np.pi * np.arange(n) / (n - 1)) * np.array([[1.0], [2.0], [3.0]])
     t_end = 10 * ctl.dt
-    alone = [S[i : i + 1].copy() for i in (0, 2)]
+    alone = [start[i : i + 1].copy() for i in (0, 2)]
     alone_t = [evolvers._advance(a, c, [0.0], [t_end], ctl)[0] for a in alone]
-    t, status = evolvers._advance(S, c, [0.0] * 3, [t_end] * 3, ctl)
-    assert status == ["ok", "blown", "ok"]
-    assert t[1] == 0.0
-    assert [t[0]] == alone_t[0] and [t[2]] == alone_t[1]
-    assert np.array_equal(S[0], alone[0][0]) and np.array_equal(S[2], alone[1][0])
+    for bad in (np.nan, np.inf, -np.inf):
+        S = start.copy()
+        S[1, n // 3] = bad
+        with np.errstate(invalid="ignore"):  # inf - inf
+            t, status = evolvers._advance(S, c, [0.0] * 3, [t_end] * 3, ctl)
+        assert status == ["ok", "blown", "ok"], bad
+        assert t[1] == 0.0
+        assert [t[0]] == alone_t[0] and [t[2]] == alone_t[1]
+        assert np.array_equal(S[0], alone[0][0]) and np.array_equal(S[2], alone[1][0])
 
 
 def _banded_reference_solve(r, b):
@@ -497,9 +522,9 @@ def test_blown_member_leaves_the_others_alone(monkeypatch):
 
 
 def test_refused_steep_handoff_stays_in_the_graph_chart(monkeypatch):
-    # with no polar resampling, a steep abort disables the member's abort
-    # and it steps on in the graph chart until the state blows up; a
-    # member of the batch that never steepens runs as on its own
+    # with no polar resampling, a steep abort ends the member's run as a
+    # blow-up in the graph chart at once; a member of the batch that never
+    # steepens runs as on its own
     alone = _alone(0.1)
     switch = evolvers.switch_chart
 
@@ -512,7 +537,7 @@ def test_refused_steep_handoff_stays_in_the_graph_chart(monkeypatch):
     sigmas = [10.0, 2.9, 0.1]
     fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
     done = dict(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
-    # one member alone: once its abort is off, no row of its batch may abort
+    # a one-member batch ends the same way
     ((_, solo),) = evolvers.evolve_batch(fams[:1], _BATCH_CTL, _BATCH_TOLS)
     for traj in (done[0], done[1], solo):
         assert traj.event.kind is EventKind.BLOWUP
