@@ -95,7 +95,7 @@ class RunConfig:
     def bisect_hi_value(self) -> float:
         raw = str(self.bisect_hi).strip()
         if raw == "auto":
-            return grim_reaper_dominating_sigma(self.params())
+            return grim_reaper_dominating_sigma(self.params(), self.phi)
         try:
             return float(raw)
         except ValueError as exc:

@@ -353,13 +353,15 @@ class _GraphChart:
 
     Since M >= 1, the explicit step cfl * dx^2 * min(M) is cfl * dx^2 on
     a graph with a node of zero slope.  A chart built with ``params``
-    (that of a full run) stops a row once its profile steepens past
-    ``abort_slope``, for a handoff to the polar chart: near the pins the
-    discrete forcing A*sqrt(1 + u_x^2) outruns the stabilizing diffusion
-    once the wall slope reaches about sqrt(2 / (A dx)), after which the
-    first interior node spikes past its neighbour and the state folds,
-    so the handoff fires well before that.  It compares against the
-    lower equilibrium of those ``params``.
+    (that of a full run) compares against their lower equilibrium and
+    stops a row once its profile steepens past ``abort_slope``: near the
+    pins the discrete forcing A*sqrt(1 + u_x^2) outruns the stabilizing
+    diffusion once the wall slope reaches about sqrt(2 / (A dx)), after
+    which the first interior node spikes past its neighbour and the
+    state folds.  The abort and each sample hand off to the polar chart
+    by one rule (``leave``), with no check that the resampling is
+    faithful: a refused handoff would only step on to the abort, which
+    then switches a steeper profile, with wider angular gaps.
 
     The stepping methods take a (k, n) array of states, one per row.
     """
@@ -465,31 +467,19 @@ class _GraphChart:
     def lost(self, rec) -> bool:
         return False
 
-    def leave(self, curve, u, steep=False):
-        """Polar state to switch to, or None to stay.
-
-        At a sample the graph must be steeper than ``SLOPE_SWITCH`` and
-        the resampling faithful: a very tall narrow profile is star-shaped
-        yet badly under-resolved on the angular grid, so the round-trip
-        reconstruction must reproduce the heights to within a small
-        fraction of the profile scale.  After a ``steep`` abort the graph
-        chart is about to fail and any star-shaped resampling beats none;
-        without one the run ends as a blow-up in the graph chart.
+    def leave(self, curve, u):
+        """Polar state to switch to, or None to stay: the graph must be
+        steeper than ``SLOPE_SWITCH`` and the curve star-shaped.  A steep
+        abort always passes the slope test (a central slope past twice
+        that, or a foot cell past it); with no star-shaped resampling it
+        ends the run as a blow-up in the graph chart.
         """
-        if not steep and float(np.max(np.abs(np.diff(u)))) / self.h <= SLOPE_SWITCH:
+        if float(np.max(np.abs(np.diff(u)))) / self.h <= SLOPE_SWITCH:
             return None
         try:
-            cand = switch_chart(curve, "polar", self.params)
+            return switch_chart(curve, "polar", self.params).rho.copy()
         except ValueError:
             return None
-        if not steep:
-            back = polar_to_sampled(cand)
-            if not is_graph_representable(back):
-                return None
-            err = float(np.max(np.abs(np.interp(self.x, back.x, back.y) - u)))
-            if err > 0.01 * (1.0 + float(np.max(np.abs(u)))):
-                return None
-        return cand.rho.copy()
 
 
 class _PolarChart:
@@ -566,7 +556,7 @@ class _PolarChart:
         """Endpoint tangent turned outward-horizontal: the chart is failing."""
         return rec.tangent_y_P <= 0.0 or rec.tangent_y_Q >= 0.0
 
-    def leave(self, curve, rho, steep=False):
+    def leave(self, curve, rho):
         """Graph state to switch back to once the curve is a mildly sloped
         graph again, or None to stay."""
         if is_graph_representable(curve):
@@ -958,8 +948,8 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
     """Evolve a family curve until a classification event fires.
 
     Starts in the graph chart.  When the profile steepens past
-    ``SLOPE_SWITCH`` and the curve has a faithful star-shaped
-    resampling, evolution hands off to the polar chart; it hands back
+    ``SLOPE_SWITCH`` and the curve has a star-shaped resampling,
+    evolution hands off to the polar chart; it hands back
     once the curve is again a mildly sloped graph.  Diagnostics are
     recorded every ``ctl.sample_interval`` time units and events are
     evaluated on that cadence:
@@ -1062,31 +1052,29 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
         for run in runs:
             run.sample(ctl, tols, horizon, polar if run.chart is graph else graph)
         for chart in (graph, polar):
-            while True:
-                group = [
-                    run for run in runs
-                    if run.event is None and run.chart is chart and run.t < run.t_next - 1e-12
-                ]
-                if not group:
-                    break
-                S, dts = np.array([run.s for run in group]), [run.dt for run in group]
-                t, status = _advance(
-                    S, chart, [run.t for run in group], [run.t_next for run in group], ctl,
-                    [run.tracker for run in group] if history else None,
-                    dts,
-                )
-                for run, s, t_run, dt, st in zip(group, S, t, dts, status):
-                    run.s, run.t, run.dt = s, t_run, dt
-                    if st == "steep":
-                        # hand off mid-interval: the graph representation
-                        # fails shortly after this steepness
-                        switched = chart.leave(chart.sample(s), s, steep=True)
-                        if switched is None:
-                            st = "blown"
-                        else:
-                            run.switch(polar, switched, ctl.dt)
-                    if st == "blown":
-                        run.event = TerminationEvent(EventKind.BLOWUP, t_run, f"in {chart.name} chart")
+            group = [
+                run for run in runs
+                if run.event is None and run.chart is chart and run.t < run.t_next - 1e-12
+            ]
+            if not group:
+                continue
+            S, dts = np.array([run.s for run in group]), [run.dt for run in group]
+            t, status = _advance(
+                S, chart, [run.t for run in group], [run.t_next for run in group], ctl,
+                [run.tracker for run in group] if history else None,
+                dts,
+            )
+            for run, s, t_run, dt, st in zip(group, S, t, dts, status):
+                run.s, run.t, run.dt = s, t_run, dt
+                if st == "steep":
+                    # hand off mid-interval, before the graph representation fails
+                    switched = chart.leave(chart.sample(s), s)
+                    if switched is None:
+                        st = "blown"
+                    else:
+                        run.switch(polar, switched, ctl.dt)
+                if st == "blown":
+                    run.event = TerminationEvent(EventKind.BLOWUP, t_run, f"in {chart.name} chart")
         for run in runs:
             if run.event is not None:
                 yield run.index, run.trajectory()

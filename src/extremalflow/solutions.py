@@ -328,8 +328,11 @@ def initial_curve(fam: InitialFamily) -> GraphProfile:
     return GraphProfile(params, u)
 
 
-def grim_reaper_dominating_sigma(params: ProblemParams) -> float:
-    """Amplitude guaranteeing escape via grim-reaper domination.
+def grim_reaper_dominating_sigma(
+    params: ProblemParams, phi: Union[str, Callable] = "cos"
+) -> float:
+    """Amplitude of the family ``InitialFamily(params, sigma, phi)``
+    guaranteeing escape via grim-reaper domination.
 
     Builds the barrier geometry for the expanding-circle radius R = 2/A,
     places a grim reaper of width b = 0.9 * 2a/pi (inside the sub-solution
@@ -346,8 +349,7 @@ def grim_reaper_dominating_sigma(params: ProblemParams) -> float:
     # Dense scan: the binding constraint sits near the reaper's kink where
     # the profile phi is small.
     x = np.linspace(-params.a, params.a, 8001)[1:-1]
-    fam = InitialFamily(params, sigma=1.0)
-    phi = fam.phi_values(x)
+    phi = InitialFamily(params, 1.0, phi).phi_values(x)
     g = np.zeros_like(x)
     inside = np.abs(x) < b * np.pi / 2.0
     g[inside] = np.maximum(grim_reaper_value(b, C, x[inside], 0.0), 0.0)

@@ -6,6 +6,7 @@ import pytest
 
 from extremalflow import cli
 from extremalflow.cli import ConfigError, load_config, main
+from extremalflow.solutions import grim_reaper_dominating_sigma
 
 
 def write_cfg(tmp_path, text):
@@ -40,6 +41,8 @@ def test_config_parsing_and_overrides(tmp_path):
     assert cfg.grid_n == 201
     assert cfg.sample_interval == 0.05
     assert cfg.family().phi == "parabola"
+    # bisect_hi = auto certifies the configured profile
+    assert cfg.bisect_hi_value() == grim_reaper_dominating_sigma(cfg.params(), "parabola")
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -431,6 +431,34 @@ def test_evolve_escape_with_chart_handoff(params_coarse):
     assert traj.diagnostics[-1].sgn_upper == "+"
 
 
+@pytest.mark.parametrize(
+    "grid_n, sigma, hands_off",
+    [
+        (101, 3.5, True),
+        (101, 5.0, True),
+        (101, 157.0, True),
+        (201, 7.0, True),
+        (201, 157.0, True),
+        (101, 3.0, False),  # slope 9.4
+        (201, 3.1, False),  # slope 9.7
+    ],
+)
+def test_graph_hands_off_past_the_switch_slope(grid_n, sigma, hands_off):
+    # one rule: a graph steeper than SLOPE_SWITCH goes to its polar
+    # resampling, however tall and narrow; no round trip vets it
+    params = ProblemParams(A=1.0, a=0.5, grid_n=grid_n)
+    chart = evolvers._GraphChart(params.dx, params.A, params)
+    u = initial_curve(InitialFamily(params, sigma=sigma)).u
+    curve = chart.sample(u)
+    rho = chart.leave(curve, u)
+    slope = float(np.max(np.abs(np.diff(u)))) / params.dx
+    assert (slope > evolvers.SLOPE_SWITCH) is hands_off
+    if hands_off:
+        assert rho.tobytes() == switch_chart(curve, "polar", params).rho.tobytes()
+    else:
+        assert rho is None
+
+
 # --- batched evolution ------------------------------------------------------------------
 
 _BATCH_PARAMS = ProblemParams(A=1.0, a=0.5, grid_n=101)
@@ -458,8 +486,9 @@ def _assert_same_run(a, b):
     assert a.final_curve().points.tobytes() == b.final_curve().points.tobytes()
 
 
-# -1 and 0.1 stay in the graph chart; every sigma >= 2.9 hands off to the
-# polar chart mid-interval on a steep abort; 2.9 also switches back
+# -1 and 0.1 stay in the graph chart; 2.9 starts below SLOPE_SWITCH and
+# hands off to the polar chart mid-interval on a steep abort, then switches
+# back; 10 starts past it and switches at its first sample
 _PATHS = [-1.0, 0.1, 2.9, 10.0]
 
 
@@ -494,11 +523,25 @@ def test_batch_without_history_keeps_the_last_sample():
         _assert_same_run(recorded, last)
 
 
-def test_batch_paths_are_reached():
+def test_batch_paths_are_reached(monkeypatch):
     charts = {s: "".join(d.chart[0] for d in _alone(s).diagnostics) for s in _PATHS}
     assert set(charts[-1.0]) == set(charts[0.1]) == {"g"}
     assert "gp" in charts[2.9] and "pg" in charts[2.9]
     assert charts[10.0].startswith("gp")
+    # the steep abort is still reached: 2.9 leaves the graph chart's
+    # _advance as 'steep' inside its first interval
+    advance, stops = evolvers._advance, []
+
+    def spy(S, chart, *args):
+        t, status = advance(S, chart, *args)
+        stops.extend((chart.name, ti, st) for ti, st in zip(t, status) if st != "ok")
+        return t, status
+
+    monkeypatch.setattr(evolvers, "_advance", spy)
+    traj = evolve(InitialFamily(_BATCH_PARAMS, sigma=2.9), _BATCH_CTL, _BATCH_TOLS)
+    _assert_same_run(traj, _alone(2.9))
+    ((chart, t, status),) = stops
+    assert chart == "graph" and status == "steep" and 0.0 < t < _BATCH_CTL.sample_interval
 
 
 def test_blown_member_leaves_the_others_alone(monkeypatch):
@@ -569,8 +612,9 @@ def test_decide_fires_chart_loss_on_outward_tangents(params):
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_chunked_energy_audit_matches_per_step(monkeypatch, chunk):
     # a chunk of 1 evaluates the energy after every step; 3 flushes
-    # mid-interval and partly filled at each interval's end, and the batch
-    # members finish, abort steep and switch charts at different steps
+    # mid-interval and partly filled at each interval's end; the batch
+    # members finish at different steps, 2.9 switches charts on a steep
+    # abort mid-interval and 10.0 at its first sample
     sigmas = [0.1, 2.9, 10.0, -1.0, 0.5]
     fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
     default = {s: _alone(s).max_step_energy_increase.hex() for s in sigmas}

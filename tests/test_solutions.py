@@ -259,6 +259,25 @@ def test_family_shape_validation(params):
     assert fam.with_sigma(2.0).sigma == 2.0
 
 
+def test_dominating_amplitude_follows_the_profile():
+    # each profile is scaled to its own certificate; the cos default is
+    # unchanged bitwise
+    params = ProblemParams(A=1.0, a=0.5, grid_n=201)
+    cos = grim_reaper_dominating_sigma(params)
+    assert cos.hex() == "0x1.372f5bf03e4dap+7"  # 155.592...
+    assert grim_reaper_dominating_sigma(params, "cos") == cos
+    sigma = grim_reaper_dominating_sigma(params, "parabola")
+    assert sigma == pytest.approx(128.17646959992, rel=1e-12)
+    b = 0.9 * 2 * params.a / np.pi
+    geom = barrier_geometry(params, 2.0)
+    C = geom.apex_height + geom.crossing_time / b + 1.0
+    x = np.linspace(-params.a, params.a, 8001)[1:-1]
+    inside = np.abs(x) < b * np.pi / 2.0
+    reaper = np.maximum(grim_reaper_value(b, C, x[inside], 0.0), 0.0)
+    phi = InitialFamily(params, sigma, "parabola").phi_values(x)
+    assert np.all(sigma * phi[inside] > reaper)
+
+
 def test_dominating_amplitude_dominates_reaper():
     # (0.4, 1.0) needs the radius 2/A: a fixed R = 2 is not above 1/A there
     for A, a in [(1.0, 0.5), (0.4, 1.0), (2.0, 0.4)]:
