@@ -50,16 +50,17 @@ through the zero coupling (0 * inf is NaN).  Buffers are reused across
 steps.
 
 ``evolve_batch`` drives full runs from family curves: every member
-switches charts when its graph representation steepens past the fixed
-slope ``SLOPE_SWITCH`` (and back below half of it), records diagnostics on a
-fixed sampling cadence, and terminates on its first classification
-event.  Between samples the graph-chart members are advanced together,
-then the polar-chart ones, so that a member handed off mid-interval
-finishes the interval in the polar chart.  Each member keeps its trial
-step from one interval to the next and starts again from ``ctl.dt`` in
-a new chart.  ``evolve`` is its one-member case; a caller that keeps
-only outcomes (a sweep) has each member keep only its latest sample, so
-a batch holds K states, not K histories.
+switches to the polar chart at the first step or sample at which its
+graph is ``_GraphChart.steep`` (a cell slope past ``SLOPE_SWITCH``, on
+or above the axis) and back below half of that slope, records
+diagnostics on a fixed sampling cadence, and terminates on its first
+classification event.  Between samples the graph-chart members are
+advanced together, then the polar-chart ones, so that a member handed
+off mid-interval finishes the interval in the polar chart.  Each member
+keeps its trial step from one interval to the next and starts again from
+``ctl.dt`` in a new chart.  ``evolve`` is its one-member case; a caller
+that keeps only outcomes (a sweep) has each member keep only its latest
+sample, so a batch holds K states, not K histories.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from math import inf, sqrt
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg.blas import idamax
 from scipy.linalg.lapack import dgtsv
 
 from .analysis import (
@@ -79,6 +81,7 @@ from .analysis import (
     word_from_gap,
 )
 from .geometry import (
+    AXIS_TOL,
     GraphProfile,
     PolarProfile,
     ProblemParams,
@@ -119,8 +122,8 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e6
 ORIGIN_LIMIT = 1e-9
-# Graph slope past which a sample hands the curve to the polar chart; the
-# polar chart hands it back below half of it.
+# Graph cell slope past which a step or a sample hands a curve on or above
+# the axis to the polar chart; the polar chart hands it back below half of it.
 SLOPE_SWITCH = 10.0
 # Steps whose states are buffered per evaluation of the tracked energy.
 ENERGY_CHUNK = 64
@@ -354,14 +357,11 @@ class _GraphChart:
     Since M >= 1, the explicit step cfl * dx^2 * min(M) is cfl * dx^2 on
     a graph with a node of zero slope.  A chart built with ``params``
     (that of a full run) compares against their lower equilibrium and
-    stops a row once its profile steepens past ``abort_slope``: near the
-    pins the discrete forcing A*sqrt(1 + u_x^2) outruns the stabilizing
-    diffusion once the wall slope reaches about sqrt(2 / (A dx)), after
-    which the first interior node spikes past its neighbour and the
-    state folds.  The abort and each sample hand off to the polar chart
-    by one rule (``leave``), with no check that the resampling is
-    faithful: a refused handoff would only step on to the abort, which
-    then switches a steeper profile, with wider angular gaps.
+    stops a row by one rule, ``steep``, before every step (``guard``)
+    and at each sample (``leave``): near the pins the discrete forcing
+    A*sqrt(1 + u_x^2) outruns the diffusion as the wall steepens.  A
+    steep row hands off to the polar chart, or ends as a blow-up if the
+    curve is not star-shaped; a graph below the axis has no polar chart.
 
     The stepping methods take a (k, n) array of states, one per row.
     """
@@ -374,19 +374,10 @@ class _GraphChart:
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
         self.A0 = np.array(A)
         self.fill_cache = {}
-        self._X, self.history = None, _NO_ROWS
+        self.history = _NO_ROWS
         if params is not None:
             self.x, self.lower = params.x_nodes(), gamma_lower(params).u
             self.depth_scale = max(params.center_offset, 0.05 * params.a)
-            self.abort_slope = max(2.0 * SLOPE_SWITCH, 0.5 * np.sqrt(2.0 / (A * h)))
-            self.s_min = SLOPE_SWITCH * h
-
-    def _rows(self, X):
-        """The rows of the batch X as a list, rebuilt only when X changes
-        (a new advance, or a packed batch)."""
-        if X is not self._X:
-            self._X, self._us = X, list(X)
-        return self._us
 
     def terms(self, inner, d1, M, F, work):
         np.multiply(d1, d1, out=M)
@@ -398,24 +389,33 @@ class _GraphChart:
         """u_t = V sqrt(M): the factor is 1."""
         return _ONE
 
-    def guard(self, X, d1, k, W):
+    def steep(self, X):
+        """Positions of the rows of the (k, n) batch X too steep for the
+        graph chart: a cell slope |u_{i+1} - u_i| / h past ``SLOPE_SWITCH``
+        and min u >= -AXIS_TOL.  The batch's steepest cell, by BLAS
+        ``idamax`` (cheaper than abs and a reduction), screens all rows
+        first.  A NaN can mislead ``idamax``, but ``_advance`` blows its
+        row before any step and then tests the other rows again.
+        """
+        h = self.h
+        c = np.subtract(X[:, 1:], X[:, :-1])
+        if abs(c.item(idamax(c.ravel()))) / h <= SLOPE_SWITCH:
+            return []
+        # the rows whose lowest node is on or above the axis (a NaN is
+        # its row's argmin, and fails)
+        rows = [i for i, j in enumerate(X.argmin(1).tolist()) if X.item(i, j) >= -AXIS_TOL]
+        if not rows:
+            return []
+        slopes = (_max(np.abs(c), 1) / h).tolist()
+        return [i for i in rows if slopes[i] > SLOPE_SWITCH]
+
+    def guard(self, X, d1, k):
         """{row position: 'steep' or 'blown'} for the rows that must stop, or None."""
         hits = None
         if self.params is not None:
-            # the foot steepening is exponential in time, so the handoff
-            # threshold must be watched every step
-            np.abs(d1, out=W)
-            us, s_min = self._rows(X), self.s_min
-            # cheap screen first: no row too steep, no foot node above s_min
-            near = _max(W, None) > self.abort_slope
-            for u in us:
-                near = near or u[1] > s_min or u[-2] > s_min
-            if near:
-                dmax = _max(W, 1)
-                for i, u in enumerate(us):
-                    if dmax[i] > self.abort_slope or self._spike(u):
-                        hits = hits or {}
-                        hits[i] = "steep"
+            steep = self.steep(X)
+            if steep:
+                hits = dict.fromkeys(steep, "steep")
         if k % 32 == 0:
             # written so that a NaN fails the test
             heights = _max(np.abs(X), 1).tolist()
@@ -425,14 +425,6 @@ class _GraphChart:
                     hits = hits or {}
                     hits.setdefault(i, "blown")
         return hits
-
-    def _spike(self, u) -> bool:
-        """Precursor of the boundary spike: a steep positive foot node
-        catching up with its inward neighbour."""
-        s_min = self.s_min
-        return bool(
-            (u[1] > s_min and u[1] > 0.9 * u[2]) or (u[-2] > s_min and u[-2] > 0.9 * u[-3])
-        )
 
     def energy(self, X):
         """E = L - A*S per row: ``analysis.energy`` of the row's sample,
@@ -469,12 +461,11 @@ class _GraphChart:
 
     def leave(self, curve, u):
         """Polar state to switch to, or None to stay: the graph must be
-        steeper than ``SLOPE_SWITCH`` and the curve star-shaped.  A steep
-        abort always passes the slope test (a central slope past twice
-        that, or a foot cell past it); with no star-shaped resampling it
+        ``steep`` and the curve star-shaped.  A row that ``guard`` stops
+        as steep passes the same test; with no star-shaped resampling it
         ends the run as a blow-up in the graph chart.
         """
-        if float(np.max(np.abs(np.diff(u)))) / self.h <= SLOPE_SWITCH:
+        if not self.steep(u[None]):
             return None
         try:
             return switch_chart(curve, "polar", self.params).rho.copy()
@@ -524,7 +515,7 @@ class _PolarChart:
         """rho_t = V sqrt(M) / rho: the factor is rho."""
         return inner
 
-    def guard(self, X, d1, k, W):
+    def guard(self, X, d1, k):
         # written so that a NaN fails the test
         if ORIGIN_LIMIT < _min(X, None) and _max(X, None) < BLOWUP_LIMIT:
             return None
@@ -680,8 +671,8 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
     bitwise that of its step evaluated alone, and every tracker is up to
     date on return.
     Returns (t, status), lists of K entries with status 'ok', 'blown', or
-    'steep' (the graph steepened past its abort slope; the caller should
-    hand off to the polar chart).
+    'steep' (``_GraphChart.steep`` flagged the row before its step; the
+    caller hands it off to the polar chart).
 
     The loop owns the step size, one rule per scheme, each cut to the
     row's end.  An explicit step is cfl h^2 min(M), the parabolic bound
@@ -743,7 +734,7 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
             pinned_second = [(F[i], R[0, i]) for i in range(nk)]
         while True:
             _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs)
-            leaving = chart.guard(X, d1, k, W)
+            leaving = chart.guard(X, d1, k)
             # explicit: cfl h^2 min(M), the parabolic bound of s_t = s_qq / M + F
             steps = _min(M, 1).tolist() if explicit else trial[:]
             rhs_sum = _sum(rhs, 1).tolist()  # NaN or +-inf if an entry is, or on overflow

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from extremalflow import ProblemParams
+
+# the same examples on every run: each @settings inherits this profile
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

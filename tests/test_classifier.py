@@ -48,6 +48,15 @@ def test_classify_small_amplitudes(template, ctl, tols):
         assert traj.event.t <= 20.0
 
 
+def test_classify_deep_negative_amplitudes(template, ctl, tols):
+    # a graph below the axis has no polar chart, so however steep its wall
+    # it stays in the graph chart and settles on the lower equilibrium
+    for s in (-10.0, -20.0):
+        cat, traj = classify(template.with_sigma(s), ctl, tols)
+        assert cat is Category.CONVERGE_LOWER, traj.event
+        assert {d.chart for d in traj.diagnostics} == {"graph"}
+
+
 def test_classify_dominating_amplitude_escapes(params_coarse, template, ctl, tols):
     sigma = grim_reaper_dominating_sigma(params_coarse)
     cat, traj = classify(template.with_sigma(sigma), ctl, tols)

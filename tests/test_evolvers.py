@@ -459,6 +459,28 @@ def test_graph_hands_off_past_the_switch_slope(grid_n, sigma, hands_off):
         assert rho is None
 
 
+def test_one_steepness_rule_for_guard_and_sample(params_coarse):
+    # one rule decides "too steep for the graph chart", in every step and
+    # at a sample: some cell slope past SLOPE_SWITCH, on or above the axis
+    params = params_coarse
+    x, h = params.x_nodes(), params.dx
+    bump = (1.0 - (x / params.a) ** 2) ** 2  # flat at the pins: steepest inside
+    bump /= float(np.max(np.abs(np.diff(bump)))) / h
+    X = np.array([10.5 * bump, -30.0 * bump, 0.5 * bump])
+    cells = np.abs(np.diff(X, axis=1)) / h
+    assert np.argmax(cells[0]) not in (0, len(x) - 2)
+    assert np.max(cells[0]) == pytest.approx(10.5)
+    d1 = (X[:, 2:] - X[:, :-2]) / (2.0 * h)
+    chart = evolvers._GraphChart(h, params.A, params)
+    # the row above the axis is steep; the steeper row below it has no
+    # polar chart and stays; the mild row stays
+    assert chart.guard(X, d1, 0) == {0: "steep"}
+    for i, u in enumerate(X):
+        assert (chart.leave(chart.sample(u), u) is not None) is (i == 0)
+    # a bare chart (stepping with no run around it) tests no steepness
+    assert evolvers._GraphChart(h, params.A).guard(X, d1, 0) is None
+
+
 # --- batched evolution ------------------------------------------------------------------
 
 _BATCH_PARAMS = ProblemParams(A=1.0, a=0.5, grid_n=101)
@@ -487,8 +509,8 @@ def _assert_same_run(a, b):
 
 
 # -1 and 0.1 stay in the graph chart; 2.9 starts below SLOPE_SWITCH and
-# hands off to the polar chart mid-interval on a steep abort, then switches
-# back; 10 starts past it and switches at its first sample
+# hands off to the polar chart at the first step past it, mid-interval,
+# then switches back; 10 starts past it and switches at its first sample
 _PATHS = [-1.0, 0.1, 2.9, 10.0]
 
 
@@ -528,7 +550,7 @@ def test_batch_paths_are_reached(monkeypatch):
     assert set(charts[-1.0]) == set(charts[0.1]) == {"g"}
     assert "gp" in charts[2.9] and "pg" in charts[2.9]
     assert charts[10.0].startswith("gp")
-    # the steep abort is still reached: 2.9 leaves the graph chart's
+    # the mid-interval handoff is reached: 2.9 leaves the graph chart's
     # _advance as 'steep' inside its first interval
     advance, stops = evolvers._advance, []
 
@@ -565,7 +587,7 @@ def test_blown_member_leaves_the_others_alone(monkeypatch):
 
 
 def test_refused_steep_handoff_stays_in_the_graph_chart(monkeypatch):
-    # with no polar resampling, a steep abort ends the member's run as a
+    # with no polar resampling, a steep graph ends the member's run as a
     # blow-up in the graph chart at once; a member of the batch that never
     # steepens runs as on its own
     alone = _alone(0.1)
@@ -613,8 +635,8 @@ def test_decide_fires_chart_loss_on_outward_tangents(params):
 def test_chunked_energy_audit_matches_per_step(monkeypatch, chunk):
     # a chunk of 1 evaluates the energy after every step; 3 flushes
     # mid-interval and partly filled at each interval's end; the batch
-    # members finish at different steps, 2.9 switches charts on a steep
-    # abort mid-interval and 10.0 at its first sample
+    # members finish at different steps, 2.9 switches charts at its first
+    # steep step, mid-interval, and 10.0 at its first sample
     sigmas = [0.1, 2.9, 10.0, -1.0, 0.5]
     fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
     default = {s: _alone(s).max_step_energy_increase.hex() for s in sigmas}
