@@ -184,7 +184,7 @@ def gap_profile(c1: SampledCurve, c2: SampledCurve) -> GapProfile:
 _COINCIDE_EPS = 1e-12
 
 
-def _default_tolerance(param: np.ndarray, gap: np.ndarray) -> float:
+def _default_tolerance(ds: np.ndarray, h: float, gap: np.ndarray) -> float:
     """Indistinguishability threshold: 3 x typical spacing x typical slope.
 
     A gap value below the amount the gap typically changes between
@@ -192,10 +192,10 @@ def _default_tolerance(param: np.ndarray, gap: np.ndarray) -> float:
     spacing and median slope set the scale: worst-case (maximum) slopes
     would let one steep feature, such as a radial cliff on an evolving
     curve, wash out sign structure that is perfectly resolved elsewhere.
+    ``ds`` is the parameter spacing and ``h`` its median.
     """
-    ds = np.diff(param)
     slopes = np.abs(np.diff(gap)) / ds
-    return float(3.0 * np.median(ds) * np.median(slopes) + 1e-14)
+    return float(3.0 * h * np.median(slopes) + 1e-14)
 
 
 def word_from_gap(param: np.ndarray, gap: np.ndarray, tol: float | None = None) -> SgnWord:
@@ -213,7 +213,9 @@ def word_from_gap(param: np.ndarray, gap: np.ndarray, tol: float | None = None) 
     if param.ndim != 1 or param.shape != gap.shape or len(param) < 3:
         raise ValueError("need matching 1-d param/gap arrays with >= 3 samples")
 
-    tol_val = _default_tolerance(param, gap) if tol is None else float(tol)
+    ds = np.diff(param)
+    h = float(np.median(ds))
+    tol_val = _default_tolerance(ds, h, gap) if tol is None else float(tol)
 
     cls = np.zeros(len(gap), dtype=int)
     cls[gap > tol_val] = 1
@@ -231,7 +233,7 @@ def word_from_gap(param: np.ndarray, gap: np.ndarray, tol: float | None = None) 
     if runs and runs[-1][0] == 0:
         runs = runs[:-1]
 
-    coincide_len = 3.0 * float(np.median(np.diff(param)))
+    coincide_len = 3.0 * h
     for sign, s, e in runs:
         if sign == 0:
             seg = np.abs(gap[s:e])
@@ -285,7 +287,8 @@ def semi_order(c1: SampledCurve, c2: SampledCurve, tol: float | None = None) -> 
     of 1e-6 rad); contact without crossing yields 'Touching'.
     """
     gp = gap_profile(c1, c2)
-    tol_val = _default_tolerance(gp.param, gp.gap) if tol is None else float(tol)
+    ds = np.diff(gp.param)
+    tol_val = _default_tolerance(ds, np.median(ds), gp.gap) if tol is None else float(tol)
     above = gp.gap > tol_val
     below = gp.gap < -tol_val
     if np.all(above):

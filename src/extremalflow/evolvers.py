@@ -70,7 +70,6 @@ from enum import Enum
 from math import inf, sqrt
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.blas import idamax
 from scipy.linalg.lapack import dgtsv
 
@@ -888,13 +887,48 @@ def _ray_radii(points: np.ndarray, th_vertex: np.ndarray, thetas: np.ndarray) ->
     return z[:, 0] * d[:, 0] + z[:, 1] * d[:, 1]
 
 
+def _spline(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic spline through n >= 4 knots ``(x, y)``, evaluated at ``xq``.
+
+    Bitwise ``scipy.interpolate.CubicSpline(x, y)(xq)`` for strictly
+    increasing ``x``: the same tridiagonal system for the knot slopes,
+    solved by the same LAPACK ``gtsv``, the same Hermite coefficients and
+    the same power-sum evaluation in the interval ``x[i] <= xq < x[i+1]``
+    (the end intervals extrapolate), written out so that a run loads no
+    ``scipy.interpolate``.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    w0, w1 = x[2] - x[0], x[-1] - x[-3]  # the not-a-knot end rows
+    d = np.empty(n)
+    d[0], d[-1] = dx[1], dx[-2]
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    b = np.empty(n)
+    b[0] = ((dx[0] + 2 * w0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / w0
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[-1] = (dx[-1] * dx[-1] * slope[-2] + (2 * w1 + dx[-1]) * dx[-2] * slope[-1]) / w1
+    dl = np.append(dx[1:], w1)
+    du = np.insert(dx[:-1], 0, w0)
+    s, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3:]
+    if info:
+        raise np.linalg.LinAlgError("singular matrix")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
+    z = xq - x[i]
+    z2 = z * z
+    c1 = (slope[i] - s[i]) / dx[i] - t[i]
+    # summed from 0.0 term by term in powers of z, as scipy's PPoly does
+    return 0.0 + y[i] + s[i] * z + c1 * z2 + t[i] / dx[i] * (z2 * z)
+
+
 def switch_chart(c: SampledCurve, target: str, params: ProblemParams):
     """Resample a polyline onto the uniform grid of the target chart.
 
     Smooth states (vertex parameters dense relative to the target grid)
-    are resampled with a cubic spline through the vertices; states with
-    sparse angular or horizontal vertex coverage fall back to exact
-    polyline evaluation, which cannot overshoot.  Endpoints are pinned
+    are resampled with the cubic spline ``_spline`` through the vertices;
+    states with sparse angular or horizontal vertex coverage fall back to
+    exact polyline evaluation, which cannot overshoot.  Endpoints are pinned
     exactly.  Raises ``ValueError`` when the curve is not representable
     in the target chart (multivalued over x, or not star-shaped).
     """
@@ -904,7 +938,7 @@ def switch_chart(c: SampledCurve, target: str, params: ProblemParams):
             raise ValueError("curve is multivalued over x; graph chart unavailable")
         x_t = params.x_nodes()
         if float(np.max(np.diff(xs))) <= 3.0 * params.dx:
-            u = CubicSpline(xs, c.y)(x_t)
+            u = _spline(xs, c.y, x_t)
         else:
             u = np.interp(x_t, xs, c.y)
         u[0] = 0.0
@@ -921,7 +955,7 @@ def switch_chart(c: SampledCurve, target: str, params: ProblemParams):
         th_asc[0] = 0.0
         th_asc[-1] = np.pi
         if float(np.max(np.diff(th_asc))) <= 3.0 * params.dtheta:
-            rho = CubicSpline(th_asc, np.hypot(c.x, c.y)[::-1])(th_t)
+            rho = _spline(th_asc, np.hypot(c.x, c.y)[::-1], th_t)
         else:
             rho = _ray_radii(c.points[::-1], th_asc, th_t)
         rho[0] = params.a

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .analysis import word_from_gap
 from .geometry import (
@@ -158,9 +157,11 @@ def circle_crossing_time(R0: float, A: float, R: float) -> float:
     Inverts R'(t) = A - 1/R analytically:
     t = (R - R0)/A + (1/A^2) ln((A R - 1)/(A R0 - 1)).
     """
-    if R0 <= 1.0 / A:
+    if not np.all(np.isfinite([R0, A, R])):
+        raise ValueError("R0, A and R must be finite")
+    if not R0 > 1.0 / A:
         raise ValueError("initial radius must exceed the equilibrium radius 1/A")
-    if R < R0:
+    if not R >= R0:
         raise ValueError("radius is increasing; target must satisfy R >= R0")
     return float((R - R0) / A + np.log((A * R - 1.0) / (A * R0 - 1.0)) / A**2)
 
@@ -171,12 +172,16 @@ def circle_radius(R0: float, A: float, t: float) -> float:
     Integrated with an adaptive Runge-Kutta scheme; agrees with the
     implicit closed form of :func:`circle_crossing_time` to 1e-8.
     """
-    if R0 <= 1.0 / A:
+    if not np.all(np.isfinite([R0, A, t])):
+        raise ValueError("R0, A and t must be finite")
+    if not R0 > 1.0 / A:
         raise ValueError("initial radius must exceed the equilibrium radius 1/A")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be non-negative")
     if t == 0.0:
         return float(R0)
+    from scipy.integrate import solve_ivp  # loaded by the circle oracle alone
+
     sol = solve_ivp(
         lambda _t, r: A - 1.0 / r[0],
         (0.0, t),
@@ -226,8 +231,8 @@ class BarrierGeometry:
 
 def barrier_geometry(params: ProblemParams, R: float) -> BarrierGeometry:
     """Construct the barrier circles for an expanding-circle radius R > 1/A."""
-    if R <= params.radius:
-        raise ValueError("barrier construction requires R > 1/A")
+    if not params.radius < R < np.inf:
+        raise ValueError("barrier construction requires R > 1/A (finite)")
     scale = 1.0 + R / params.a
     center = (R, scale * params.center_offset)
     r_outer = scale / params.A

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import evolvers
 from .analysis import SgnWord, gap_profile, intersection_audit, subword
@@ -199,6 +198,8 @@ def criterion_2(ctx: VerificationContext) -> CriterionResult:
 
 def criterion_3(ctx: VerificationContext) -> CriterionResult:
     """Adaptive-RK circle radius matches the implicit closed form to 1e-8."""
+    from scipy.optimize import brentq  # loaded by this criterion alone
+
     A, R0 = 1.0, 2.0
     worst = 0.0
     for t in (0.5, 1.0, 2.0):

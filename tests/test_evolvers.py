@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from extremalflow import (
@@ -394,6 +395,35 @@ def test_switch_chart_rejects_below_axis(params):
     g = initial_curve(InitialFamily(params, sigma=-1.0))
     with pytest.raises(ValueError):
         switch_chart(graph_to_sampled(g), "polar", params)
+
+
+def test_spline_is_bitwise_cubic_spline(params, monkeypatch):
+    spline, calls = evolvers._spline, []
+
+    def spy(x, y, xq):
+        calls.append((x.copy(), y.copy(), xq.copy()))
+        return spline(x, y, xq)
+
+    monkeypatch.setattr(evolvers, "_spline", spy)
+    # the dense polar-target inputs of the round-trip tests, and their way back
+    fams = [InitialFamily(params, sigma=s, phi=p) for s in (0.5, 1.0) for p in ("cos", "parabola")]
+    for g in [gamma_lower(params)] + [initial_curve(f) for f in fams]:
+        n = len(calls)
+        polar = switch_chart(graph_to_sampled(g), "polar", params)
+        assert len(calls) == n + 1
+        switch_chart(polar_to_sampled(polar), "graph", params)
+    # the graph-target resamplings of a run's polar -> graph switches
+    n = len(calls)
+    evolve(InitialFamily(_BATCH_PARAMS, sigma=2.9), _BATCH_CTL, _BATCH_TOLS)
+    assert len(calls) > n
+    # seeded random knots, queried at both ends, at the knots and between them
+    rng = np.random.default_rng(20)
+    for n in rng.integers(4, 501, size=40):
+        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+        mid = x[:-1] + rng.uniform(size=n - 1) * np.diff(x)
+        calls.append((x, rng.normal(size=n), np.sort(np.concatenate([x, mid]))))
+    for x, y, xq in calls:
+        assert spline(x, y, xq).tobytes() == CubicSpline(x, y)(xq).tobytes()
 
 
 # --- full evolution --------------------------------------------------------------------

@@ -166,6 +166,21 @@ def test_circle_radius_rejects_subcritical():
         circle_crossing_time(1.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "R0, A, t", [(2.0, 1.0, np.nan), (2.0, 1.0, np.inf), (2.0, np.nan, 1.0), (np.inf, 1.0, 1.0)]
+)
+def test_circle_radius_rejects_non_finite(R0, A, t):
+    # a NaN or inf time would leave the Runge-Kutta integrator stepping forever
+    with pytest.raises(ValueError, match="must be finite"):
+        circle_radius(R0, A, t)
+
+
+@pytest.mark.parametrize("R0, A, R", [(2.0, 1.0, np.nan), (np.nan, 1.0, 3.0), (2.0, 1.0, np.inf)])
+def test_circle_crossing_time_rejects_non_finite(R0, A, R):
+    with pytest.raises(ValueError, match="must be finite"):
+        circle_crossing_time(R0, A, R)
+
+
 # --- barrier geometry ----------------------------------------------------------------
 
 
@@ -185,6 +200,12 @@ def test_barrier_tangency_and_sizes(params):
 def test_barrier_requires_supercritical_radius(params):
     with pytest.raises(ValueError):
         barrier_geometry(params, R=params.radius)
+
+
+@pytest.mark.parametrize("R", [np.nan, np.inf])
+def test_barrier_requires_finite_radius(params, R):
+    with pytest.raises(ValueError, match="requires R > 1/A"):
+        barrier_geometry(params, R)
 
 
 # --- initial family ---------------------------------------------------------------------
