@@ -52,13 +52,13 @@ steps.
 ``evolve_batch`` drives full runs from family curves: every member
 switches to the polar chart at the first step or sample at which its
 graph is ``_GraphChart.steep`` (a cell slope past ``SLOPE_SWITCH``, on
-or above the axis) and back below half of that slope, records
-diagnostics on a fixed sampling cadence, and terminates on its first
-classification event.  Between samples the graph-chart members are
-advanced together, then the polar-chart ones, so that a member handed
-off mid-interval finishes the interval in the polar chart.  Each member
-keeps its trial step from one interval to the next and starts again from
-``ctl.dt`` in a new chart.  ``evolve`` is its one-member case; a caller
+or above the axis) and stays there, since both equilibria have a polar
+form; it records diagnostics on a fixed sampling cadence and terminates
+on its first classification event.  Between samples the graph-chart
+members are advanced together, then the polar-chart ones, so that a
+member handed off mid-interval finishes the interval in the polar
+chart.  Each member keeps its trial step from one interval to the next
+and starts again from ``ctl.dt`` in the polar chart.  ``evolve`` is its one-member case; a caller
 that keeps only outcomes (a sweep) has each member keep only its latest
 sample, so a batch holds K states, not K histories.
 """
@@ -89,7 +89,6 @@ from .geometry import (
     _polar_angles,
     _polar_xy,
     graph_to_sampled,
-    is_graph_representable,
     polar_to_sampled,
 )
 from .solutions import (
@@ -122,7 +121,7 @@ __all__ = [
 BLOWUP_LIMIT = 1e6
 ORIGIN_LIMIT = 1e-9
 # Graph cell slope past which a step or a sample hands a curve on or above
-# the axis to the polar chart; the polar chart hands it back below half of it.
+# the axis to the polar chart, for the rest of its run.
 SLOPE_SWITCH = 10.0
 # Steps whose states are buffered per evaluation of the tracked energy.
 ENERGY_CHUNK = 64
@@ -329,8 +328,9 @@ class _EnergyTracker:
 
     The energies of a chunk of steps arrive together, in time order, and
     are folded in one by one, so the result is that of a per-step update.
-    Only states confined to {y >= -1e-9} participate; a chart switch or an
-    excursion below the axis (an energy of NaN) re-baselines the tracker:
+    Only states confined to {y >= -1e-9} participate; the handoff to the
+    polar chart or an excursion below the axis (an energy of NaN)
+    re-baselines the tracker:
     a difference with a NaN is NaN, and a NaN never wins ``max``.
     """
 
@@ -467,7 +467,7 @@ class _GraphChart:
         if not self.steep(u[None]):
             return None
         try:
-            return switch_chart(curve, "polar", self.params).rho.copy()
+            return switch_chart(curve, self.params).rho.copy()
         except ValueError:
             return None
 
@@ -547,12 +547,8 @@ class _PolarChart:
         return rec.tangent_y_P <= 0.0 or rec.tangent_y_Q >= 0.0
 
     def leave(self, curve, rho):
-        """Graph state to switch back to once the curve is a mildly sloped
-        graph again, or None to stay."""
-        if is_graph_representable(curve):
-            d = np.diff(curve.points, axis=0)
-            if float(np.max(np.abs(d[:, 1] / d[:, 0]))) < 0.5 * SLOPE_SWITCH:
-                return switch_chart(curve, "graph", self.params).u.copy()
+        """None: a polar run stays polar.  Both equilibria are polar arcs,
+        so every category is reached without the graph chart."""
         return None
 
 
@@ -887,81 +883,25 @@ def _ray_radii(points: np.ndarray, th_vertex: np.ndarray, thetas: np.ndarray) ->
     return z[:, 0] * d[:, 0] + z[:, 1] * d[:, 1]
 
 
-def _spline(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Not-a-knot cubic spline through n >= 4 knots ``(x, y)``, evaluated at ``xq``.
+def switch_chart(c: SampledCurve, params: ProblemParams) -> PolarProfile:
+    """Resample a polyline onto the uniform grid of the polar chart.
 
-    Bitwise ``scipy.interpolate.CubicSpline(x, y)(xq)`` for strictly
-    increasing ``x``: the same tridiagonal system for the knot slopes,
-    solved by the same LAPACK ``gtsv``, the same Hermite coefficients and
-    the same power-sum evaluation in the interval ``x[i] <= xq < x[i+1]``
-    (the end intervals extrapolate), written out so that a run loads no
-    ``scipy.interpolate``.
+    Each node's radius is that of the polyline along the node's ray
+    (``_ray_radii``), so the resampled curve lies on the polyline and
+    cannot overshoot.  The endpoints are pinned exactly.  Raises
+    ``ValueError`` when the curve dips below the axis or is not
+    star-shaped about the origin.
     """
-    n = len(x)
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    w0, w1 = x[2] - x[0], x[-1] - x[-3]  # the not-a-knot end rows
-    d = np.empty(n)
-    d[0], d[-1] = dx[1], dx[-2]
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    b = np.empty(n)
-    b[0] = ((dx[0] + 2 * w0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / w0
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    b[-1] = (dx[-1] * dx[-1] * slope[-2] + (2 * w1 + dx[-1]) * dx[-2] * slope[-1]) / w1
-    dl = np.append(dx[1:], w1)
-    du = np.insert(dx[:-1], 0, w0)
-    s, info = dgtsv(dl, d, du, b, 1, 1, 1, 1)[3:]
-    if info:
-        raise np.linalg.LinAlgError("singular matrix")
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
-    z = xq - x[i]
-    z2 = z * z
-    c1 = (slope[i] - s[i]) / dx[i] - t[i]
-    # summed from 0.0 term by term in powers of z, as scipy's PPoly does
-    return 0.0 + y[i] + s[i] * z + c1 * z2 + t[i] / dx[i] * (z2 * z)
-
-
-def switch_chart(c: SampledCurve, target: str, params: ProblemParams):
-    """Resample a polyline onto the uniform grid of the target chart.
-
-    Smooth states (vertex parameters dense relative to the target grid)
-    are resampled with the cubic spline ``_spline`` through the vertices;
-    states with sparse angular or horizontal vertex coverage fall back to
-    exact polyline evaluation, which cannot overshoot.  Endpoints are pinned
-    exactly.  Raises ``ValueError`` when the curve is not representable
-    in the target chart (multivalued over x, or not star-shaped).
-    """
-    if target == "graph":
-        xs = c.x
-        if not is_graph_representable(c):
-            raise ValueError("curve is multivalued over x; graph chart unavailable")
-        x_t = params.x_nodes()
-        if float(np.max(np.diff(xs))) <= 3.0 * params.dx:
-            u = _spline(xs, c.y, x_t)
-        else:
-            u = np.interp(x_t, xs, c.y)
-        u[0] = 0.0
-        u[-1] = 0.0
-        return GraphProfile(params, u)
-    if target == "polar":
-        th = _polar_angles(c)
-        if th is None:
-            raise ValueError(
-                "curve dips below the axis or is not star-shaped; polar chart unavailable"
-            )
-        th_t = params.theta_nodes()
-        th_asc = th[::-1].copy()
-        th_asc[0] = 0.0
-        th_asc[-1] = np.pi
-        if float(np.max(np.diff(th_asc))) <= 3.0 * params.dtheta:
-            rho = _spline(th_asc, np.hypot(c.x, c.y)[::-1], th_t)
-        else:
-            rho = _ray_radii(c.points[::-1], th_asc, th_t)
-        rho[0] = params.a
-        rho[-1] = params.a
-        return PolarProfile(params, rho)
-    raise ValueError(f"unknown chart '{target}'")
+    th = _polar_angles(c)
+    if th is None:
+        raise ValueError("curve dips below the axis or is not star-shaped; polar chart unavailable")
+    th_asc = th[::-1].copy()
+    th_asc[0] = 0.0
+    th_asc[-1] = np.pi
+    rho = _ray_radii(c.points[::-1], th_asc, params.theta_nodes())
+    rho[0] = params.a
+    rho[-1] = params.a
+    return PolarProfile(params, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -974,8 +914,8 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
 
     Starts in the graph chart.  When the profile steepens past
     ``SLOPE_SWITCH`` and the curve has a star-shaped resampling,
-    evolution hands off to the polar chart; it hands back
-    once the curve is again a mildly sloped graph.  Diagnostics are
+    evolution hands off to the polar chart for good: both equilibria
+    are polar arcs, so no run needs the graph chart again.  Diagnostics are
     recorded every ``ctl.sample_interval`` time units and events are
     evaluated on that cadence:
 
@@ -1000,24 +940,25 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
 
 class _Run:
     """One member of a batch: its chart, state, time, trial step, tracker
-    and records."""
+    and records.  It starts in the graph chart and may hand off once, to
+    ``polar``."""
 
-    __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "dt", "tracker", "history",
-                 "snapshots", "diagnostics", "event")
+    __slots__ = ("fam", "index", "chart", "polar", "s", "t", "t_next", "dt", "tracker",
+                 "history", "snapshots", "diagnostics", "event")
 
-    def __init__(self, index, fam, chart, s, dt, history):
-        self.index, self.fam, self.chart, self.s, self.t = index, fam, chart, s, 0.0
-        self.dt, self.tracker, self.history = dt, _EnergyTracker(), history
+    def __init__(self, index, fam, graph, polar, s, dt, history):
+        self.index, self.fam, self.chart, self.polar, self.s = index, fam, graph, polar, s
+        self.t, self.dt, self.tracker, self.history = 0.0, dt, _EnergyTracker(), history
         self.snapshots, self.diagnostics, self.event = [], [], None
 
-    def switch(self, chart, s, dt):
-        """Continue in ``chart`` from state ``s`` with the trial step ``dt``."""
-        self.chart, self.s, self.dt = chart, s, dt
+    def switch(self, rho, dt):
+        """Continue in the polar chart from radii ``rho`` with the trial step ``dt``."""
+        self.chart, self.s, self.dt = self.polar, rho, dt
         self.tracker.reset()
 
-    def sample(self, ctl, tols, horizon, other):
-        """Record a sample; then fire an event, or switch to the ``other``
-        chart and set the next sample time."""
+    def sample(self, ctl, tols, horizon):
+        """Record a sample; then fire an event, or hand off to the polar
+        chart if the graph ``leave``s, and set the next sample time."""
         chart = self.chart
         curve = chart.sample(self.s)
         rec, min_gap_up = _diagnose(chart, self.s, curve, self.t)
@@ -1028,9 +969,9 @@ class _Run:
         self.snapshots.append((self.t, curve))
         self.event = _decide(chart, rec, min_gap_up, tols, horizon)
         if self.event is None:
-            switched = chart.leave(curve, self.s)
-            if switched is not None:
-                self.switch(other, switched, ctl.dt)
+            rho = chart.leave(curve, self.s)
+            if rho is not None:
+                self.switch(rho, ctl.dt)
             self.t_next = min(self.t + ctl.sample_interval, horizon)
 
     def trajectory(self) -> Trajectory:
@@ -1070,12 +1011,12 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     horizon = min(ctl.t_max, tols.t_max)
 
     runs = [
-        _Run(i, fam, graph, initial_curve(fam).u.copy(), ctl.dt, history)
+        _Run(i, fam, graph, polar, initial_curve(fam).u.copy(), ctl.dt, history)
         for i, fam in enumerate(fams)
     ]
     while runs:
         for run in runs:
-            run.sample(ctl, tols, horizon, polar if run.chart is graph else graph)
+            run.sample(ctl, tols, horizon)
         for chart in (graph, polar):
             group = [
                 run for run in runs
@@ -1093,11 +1034,11 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
                 run.s, run.t, run.dt = s, t_run, dt
                 if st == "steep":
                     # hand off mid-interval, before the graph representation fails
-                    switched = chart.leave(chart.sample(s), s)
-                    if switched is None:
+                    rho = chart.leave(chart.sample(s), s)
+                    if rho is None:
                         st = "blown"
                     else:
-                        run.switch(polar, switched, ctl.dt)
+                        run.switch(rho, ctl.dt)
                 if st == "blown":
                     run.event = TerminationEvent(EventKind.BLOWUP, t_run, f"in {chart.name} chart")
         for run in runs:

@@ -159,6 +159,8 @@ def circle_crossing_time(R0: float, A: float, R: float) -> float:
     """
     if not np.all(np.isfinite([R0, A, R])):
         raise ValueError("R0, A and R must be finite")
+    if not A > 0:
+        raise ValueError("A must be positive")
     if not R0 > 1.0 / A:
         raise ValueError("initial radius must exceed the equilibrium radius 1/A")
     if not R >= R0:
@@ -174,6 +176,8 @@ def circle_radius(R0: float, A: float, t: float) -> float:
     """
     if not np.all(np.isfinite([R0, A, t])):
         raise ValueError("R0, A and t must be finite")
+    if not A > 0:
+        raise ValueError("A must be positive")
     if not R0 > 1.0 / A:
         raise ValueError("initial radius must exceed the equilibrium radius 1/A")
     if not t >= 0:

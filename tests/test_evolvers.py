@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from extremalflow import (
@@ -352,78 +352,50 @@ def test_extrapolated_step_is_second_order(monkeypatch):
 # --- chart switching ------------------------------------------------------------------
 
 
-def test_switch_chart_round_trip(params):
-    cap = graph_to_sampled(gamma_lower(params))
-    polar = switch_chart(cap, "polar", params)
-    back = switch_chart(polar_to_sampled(polar), "graph", params)
-    assert np.max(np.abs(back.u - gamma_lower(params).u)) < 1e-6
+def test_switch_chart_matches_the_polar_lower_arc():
+    # the graph lower arc resampled onto the polar grid against the exact
+    # polar arc: second order in the grid (0.28-0.32 dx^2 on grids 41-401)
+    errs = []
+    for n in (41, 101, 201, 401):
+        params = ProblemParams(A=1.0, a=0.5, grid_n=n)
+        rho = switch_chart(graph_to_sampled(gamma_lower(params)), params).rho
+        errs.append(float(np.max(np.abs(rho - gamma_lower_polar(params).rho))))
+        assert errs[-1] <= 0.35 * params.dx**2
+    assert errs[1] / errs[2] >= 3.5 and errs[2] / errs[3] >= 3.5
 
 
 @settings(deadline=None)
+@example(sigma=1e-9, phi="parabola")
+@example(sigma=157.0, phi="cos")
 @given(
-    sigma=st.floats(min_value=1e-9, max_value=3.0),
+    sigma=st.floats(min_value=1e-9, max_value=157.0),
     phi=st.sampled_from(["cos", "parabola"]),
 )
-def test_switch_chart_round_trip_family(sigma, phi):
-    # graph -> polar -> graph loses at most what the angular grid cannot
-    # resolve: nearly flat caps hug the axis and tall ones sweep large
-    # angles per cell.  Measured on grid 201 over sigma in [1e-9, 3]:
-    # error / sigma <= 0.25 and error <= 8.1e-3.  Below about 1e-14 a
-    # family curve is numerically flat and has no polar chart.
+def test_switch_chart_nodes_lie_on_the_polyline(sigma, phi):
+    # every polar node is the polyline's own point on the node's ray, so
+    # its distance from the graph segment covering its x is rounding in
+    # the coordinates of that segment, of order max(sigma, dx): measured
+    # <= 4.4e-16 max(sigma, dx) on grid 201 for sigma in [1e-9, 157]
     params = ProblemParams(A=1.0, a=0.5, grid_n=201)
-    g = initial_curve(InitialFamily(params, sigma=sigma, phi=phi))
-    polar = switch_chart(graph_to_sampled(g), "polar", params)
-    back = switch_chart(polar_to_sampled(polar), "graph", params)
-    assert np.max(np.abs(back.u - g.u)) <= min(0.3 * sigma, 1e-2)
+    c = graph_to_sampled(initial_curve(InitialFamily(params, sigma=sigma, phi=phi)))
+    z = polar_to_sampled(switch_chart(c, params)).points
+    i = np.clip(np.searchsorted(c.x, z[:, 0]) - 1, 0, len(c.x) - 2)
+    e, w = c.points[i + 1] - c.points[i], z - c.points[i]
+    dist = np.abs(e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]) / np.hypot(e[:, 0], e[:, 1])
+    assert np.max(dist) <= 1e-14 * max(sigma, params.dx)
 
 
 def test_switch_chart_straight_segment(params):
-    seg = graph_to_sampled(GraphProfile(params, np.zeros(params.grid_n)))
-    assert np.max(np.abs(switch_chart(seg, "graph", params).u)) == 0.0
     # the baseline passes through the origin, so no polar chart exists
+    seg = graph_to_sampled(GraphProfile(params, np.zeros(params.grid_n)))
     with pytest.raises(ValueError):
-        switch_chart(seg, "polar", params)
-
-
-def test_switch_chart_rejects_multivalued(params):
-    arc = polar_to_sampled(gamma_upper(params))  # folds past x = +-a
-    with pytest.raises(ValueError):
-        switch_chart(arc, "graph", params)
+        switch_chart(seg, params)
 
 
 def test_switch_chart_rejects_below_axis(params):
     g = initial_curve(InitialFamily(params, sigma=-1.0))
     with pytest.raises(ValueError):
-        switch_chart(graph_to_sampled(g), "polar", params)
-
-
-def test_spline_is_bitwise_cubic_spline(params, monkeypatch):
-    spline, calls = evolvers._spline, []
-
-    def spy(x, y, xq):
-        calls.append((x.copy(), y.copy(), xq.copy()))
-        return spline(x, y, xq)
-
-    monkeypatch.setattr(evolvers, "_spline", spy)
-    # the dense polar-target inputs of the round-trip tests, and their way back
-    fams = [InitialFamily(params, sigma=s, phi=p) for s in (0.5, 1.0) for p in ("cos", "parabola")]
-    for g in [gamma_lower(params)] + [initial_curve(f) for f in fams]:
-        n = len(calls)
-        polar = switch_chart(graph_to_sampled(g), "polar", params)
-        assert len(calls) == n + 1
-        switch_chart(polar_to_sampled(polar), "graph", params)
-    # the graph-target resamplings of a run's polar -> graph switches
-    n = len(calls)
-    evolve(InitialFamily(_BATCH_PARAMS, sigma=2.9), _BATCH_CTL, _BATCH_TOLS)
-    assert len(calls) > n
-    # seeded random knots, queried at both ends, at the knots and between them
-    rng = np.random.default_rng(20)
-    for n in rng.integers(4, 501, size=40):
-        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
-        mid = x[:-1] + rng.uniform(size=n - 1) * np.diff(x)
-        calls.append((x, rng.normal(size=n), np.sort(np.concatenate([x, mid]))))
-    for x, y, xq in calls:
-        assert spline(x, y, xq).tobytes() == CubicSpline(x, y)(xq).tobytes()
+        switch_chart(graph_to_sampled(g), params)
 
 
 # --- full evolution --------------------------------------------------------------------
@@ -484,7 +456,7 @@ def test_graph_hands_off_past_the_switch_slope(grid_n, sigma, hands_off):
     slope = float(np.max(np.abs(np.diff(u)))) / params.dx
     assert (slope > evolvers.SLOPE_SWITCH) is hands_off
     if hands_off:
-        assert rho.tobytes() == switch_chart(curve, "polar", params).rho.tobytes()
+        assert rho.tobytes() == switch_chart(curve, params).rho.tobytes()
     else:
         assert rho is None
 
@@ -538,9 +510,14 @@ def _assert_same_run(a, b):
     assert a.final_curve().points.tobytes() == b.final_curve().points.tobytes()
 
 
+def _charts(traj):
+    """The chart of each sample of a run, one letter each."""
+    return "".join(d.chart[0] for d in traj.diagnostics)
+
+
 # -1 and 0.1 stay in the graph chart; 2.9 starts below SLOPE_SWITCH and
-# hands off to the polar chart at the first step past it, mid-interval,
-# then switches back; 10 starts past it and switches at its first sample
+# hands off to the polar chart at the first step past it, mid-interval;
+# 10 starts past it and switches at its first sample
 _PATHS = [-1.0, 0.1, 2.9, 10.0]
 
 
@@ -576,10 +553,9 @@ def test_batch_without_history_keeps_the_last_sample():
 
 
 def test_batch_paths_are_reached(monkeypatch):
-    charts = {s: "".join(d.chart[0] for d in _alone(s).diagnostics) for s in _PATHS}
+    charts = {s: _charts(_alone(s)) for s in _PATHS}
     assert set(charts[-1.0]) == set(charts[0.1]) == {"g"}
-    assert "gp" in charts[2.9] and "pg" in charts[2.9]
-    assert charts[10.0].startswith("gp")
+    assert re.fullmatch("g+p+", charts[2.9]) and re.fullmatch("gp+", charts[10.0])
     # the mid-interval handoff is reached: 2.9 leaves the graph chart's
     # _advance as 'steep' inside its first interval
     advance, stops = evolvers._advance, []
@@ -594,6 +570,22 @@ def test_batch_paths_are_reached(monkeypatch):
     _assert_same_run(traj, _alone(2.9))
     ((chart, t, status),) = stops
     assert chart == "graph" and status == "steep" and 0.0 < t < _BATCH_CTL.sample_interval
+
+
+def test_a_run_never_returns_to_the_graph_chart():
+    # the handoff is one-way: both equilibria are polar arcs, so every
+    # run's chart sequence is some graph samples, then polar ones
+    runs = [_alone(s) for s in _PATHS]
+    for n in (101, 201):
+        p = ProblemParams(A=1.0, a=0.5, grid_n=n)
+        ctl = StepControl.for_params(p, scheme="semi_implicit", t_max=6.0)
+        runs.append(evolve(InitialFamily(p, sigma=157.0), ctl, _BATCH_TOLS))
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in (2.9, 3.2, 3.5, 10.0, 0.1)]
+    runs.extend(traj for _, traj in evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
+    for traj in runs:
+        charts = _charts(traj)
+        assert re.fullmatch("g*p*", charts), (traj.sigma, charts)
+        assert ("p" in charts) is (traj.sigma > 1.0)  # 2.9 and 3.2 end ConvergeLower in it
 
 
 def test_blown_member_leaves_the_others_alone(monkeypatch):
@@ -621,12 +613,9 @@ def test_refused_steep_handoff_stays_in_the_graph_chart(monkeypatch):
     # blow-up in the graph chart at once; a member of the batch that never
     # steepens runs as on its own
     alone = _alone(0.1)
-    switch = evolvers.switch_chart
 
-    def no_polar(curve, target, params):
-        if target == "polar":
-            raise ValueError("polar chart refused")
-        return switch(curve, target, params)
+    def no_polar(curve, params):
+        raise ValueError("polar chart refused")
 
     monkeypatch.setattr(evolvers, "switch_chart", no_polar)
     sigmas = [10.0, 2.9, 0.1]

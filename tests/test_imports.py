@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,7 +49,7 @@ def test_a_run_loads_only_scipy_linalg():
         timeout=300,
     )
     seen = json.loads(out.stdout.splitlines()[-1])
-    assert "gp" in seen["charts"] and "pg" in seen["charts"]  # a graph -> polar -> graph round trip
+    assert re.fullmatch("g+p+", seen["charts"])  # a graph -> polar handoff, one-way
     assert seen["run"] == []
     # the circle oracle loads its Runge-Kutta integrator on first use
     assert "scipy.integrate" in seen["oracle"]

@@ -166,6 +166,17 @@ def test_circle_radius_rejects_subcritical():
         circle_crossing_time(1.0, 1.0, 2.0)
 
 
+def test_circle_oracle_rejects_non_positive_forcing():
+    # for A < 0 every positive R0 exceeds 1/A, so the radius check alone
+    # would pass a circle that shrinks and never reaches R; A = 0 has no
+    # equilibrium radius at all
+    for A in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="A must be positive"):
+            circle_crossing_time(2.0, A, 3.0)
+        with pytest.raises(ValueError, match="A must be positive"):
+            circle_radius(2.0, A, 1.0)
+
+
 @pytest.mark.parametrize(
     "R0, A, t", [(2.0, 1.0, np.nan), (2.0, 1.0, np.inf), (2.0, np.nan, 1.0), (np.inf, 1.0, 1.0)]
 )
