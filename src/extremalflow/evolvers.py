@@ -37,7 +37,9 @@ stepped states are copied into a history buffer of the chart and
 and whenever the batch is packed.
 The tridiagonal systems of a semi-implicit step (a full and a half step
 per row, then a second half step per row) go to LAPACK ``gtsv`` as
-block-diagonal systems with zero coupling entries; the matrix is
+block-diagonal systems with zero coupling entries.  It is the package's
+one compiled routine outside numpy, taken from scipy's LAPACK extension
+module by ``_load_dgtsv`` without importing scipy.  The matrix is
 diagonally dominant, so gtsv never swaps rows, a zero multiplier adds
 exactly nothing, and each row's solution is bitwise that of its own
 solve.  Row reductions (max, min, sum along a row) are bitwise those of
@@ -65,13 +67,14 @@ sample, so a batch holds K states, not K histories.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from math import inf, sqrt
 
 import numpy as np
-from scipy.linalg.blas import idamax
-from scipy.linalg.lapack import dgtsv
 
 from .analysis import (
     Unresolvable,
@@ -137,6 +140,43 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 # for the same arithmetic.
 _HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
 _NO_ROWS = np.empty((0, 0))
+
+
+def _load_dgtsv(locations=None):
+    """LAPACK ``dgtsv`` of scipy's compiled LAPACK module, without scipy.
+
+    The module ``scipy.linalg._flapack`` is loaded from its file under its
+    own name, so neither ``scipy`` nor ``scipy.linalg`` is imported; the
+    routine is the one ``scipy.linalg.lapack`` exports.  ``locations`` are
+    the directories of the scipy package (by default those ``find_spec``
+    reports, which imports nothing).  With no such module there that loads
+    and has ``dgtsv`` (a missing file, or one the platform cannot load on
+    its own, e.g. whose libraries only ``import scipy`` makes findable),
+    the routine is imported from ``scipy.linalg.lapack``.
+    """
+    if locations is None:
+        spec = find_spec("scipy")
+        locations = (spec and spec.submodule_search_locations) or ()
+    name = "scipy.linalg._flapack"
+    for base in locations:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = ExtensionFileLoader(name, path)
+            try:
+                module = module_from_spec(spec_from_loader(name, loader))
+                loader.exec_module(module)
+            except (ImportError, OSError):
+                continue
+            if hasattr(module, "dgtsv"):
+                return module.dgtsv
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 def _grown(buf, k, m):
@@ -391,21 +431,20 @@ class _GraphChart:
     def steep(self, X):
         """Positions of the rows of the (k, n) batch X too steep for the
         graph chart: a cell slope |u_{i+1} - u_i| / h past ``SLOPE_SWITCH``
-        and min u >= -AXIS_TOL.  The batch's steepest cell, by BLAS
-        ``idamax`` (cheaper than abs and a reduction), screens all rows
-        first.  A NaN can mislead ``idamax``, but ``_advance`` blows its
-        row before any step and then tests the other rows again.
+        and min u >= -AXIS_TOL.  The batch's steepest cell screens all
+        rows first; a NaN passes the screen and fails the axis test.
         """
         h = self.h
         c = np.subtract(X[:, 1:], X[:, :-1])
-        if abs(c.item(idamax(c.ravel()))) / h <= SLOPE_SWITCH:
+        np.abs(c, out=c)
+        if _max(c, None) / h <= SLOPE_SWITCH:
             return []
         # the rows whose lowest node is on or above the axis (a NaN is
         # its row's argmin, and fails)
         rows = [i for i, j in enumerate(X.argmin(1).tolist()) if X.item(i, j) >= -AXIS_TOL]
         if not rows:
             return []
-        slopes = (_max(np.abs(c), 1) / h).tolist()
+        slopes = (_max(c, 1) / h).tolist()
         return [i for i in rows if slopes[i] > SLOPE_SWITCH]
 
     def guard(self, X, d1, k):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -236,14 +237,25 @@ def graph_to_sampled(g: GraphProfile) -> SampledCurve:
     return SampledCurve(pts)
 
 
+@lru_cache
+def _polar_trig(params: ProblemParams):
+    """cos and sin of the theta-nodes in P-to-Q order (theta from pi to 0),
+    computed once per parameter set and returned read-only."""
+    th = params.theta_nodes()
+    cos, sin = np.cos(th)[::-1].copy(), np.sin(th)[::-1].copy()
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
 def _polar_xy(rho, params: ProblemParams):
     """x and y of polar radii ``rho`` (rows along the last axis) from P to Q.
 
     theta = 0 corresponds to Q, so the node order is reversed.  Endpoints
     are pinned exactly (sin(pi) is not exactly zero in floating point).
     """
-    th = params.theta_nodes()
-    x, y = (rho * np.cos(th))[..., ::-1], (rho * np.sin(th))[..., ::-1]
+    cos, sin = _polar_trig(params)
+    rho = rho[..., ::-1]
+    x, y = rho * cos, rho * sin
     x[..., 0], x[..., -1] = -params.a, params.a
     y[..., 0] = y[..., -1] = 0.0
     return x, y

@@ -483,6 +483,21 @@ def test_one_steepness_rule_for_guard_and_sample(params_coarse):
     assert evolvers._GraphChart(h, params.A).guard(X, d1, 0) is None
 
 
+@pytest.mark.parametrize("nan_at", [0, 1, "mid", -1])
+def test_steep_ignores_a_nan_row(params_coarse, nan_at):
+    # the screen of the batch's steepest cell must neither hide the steep
+    # row behind a NaN nor let the NaN row through the axis test
+    params = params_coarse
+    x, h = params.x_nodes(), params.dx
+    bump = (1.0 - (x / params.a) ** 2) ** 2
+    bump /= float(np.max(np.abs(np.diff(bump)))) / h
+    X = np.array([0.5 * bump, 10.5 * bump, 0.5 * bump])
+    X[0, len(x) // 2 if nan_at == "mid" else nan_at] = np.nan
+    chart = evolvers._GraphChart(h, params.A, params)
+    assert chart.steep(X) == [1]
+    assert chart.steep(X[[0, 2]]) == []
+
+
 # --- batched evolution ------------------------------------------------------------------
 
 _BATCH_PARAMS = ProblemParams(A=1.0, a=0.5, grid_n=101)
