@@ -184,16 +184,23 @@ def gap_profile(c1: SampledCurve, c2: SampledCurve) -> GapProfile:
 _COINCIDE_EPS = 1e-12
 
 
-def _default_tolerance(ds: np.ndarray, h: float, gap: np.ndarray) -> float:
-    """Indistinguishability threshold: 3 x typical spacing x typical slope.
+def _tolerance(ds: np.ndarray, h: float, gap: np.ndarray, tol: float | None) -> float:
+    """Indistinguishability threshold: ``tol``, or by default 3 x typical
+    spacing x typical slope.
 
     A gap value below the amount the gap typically changes between
     neighbouring samples cannot be assigned a reliable sign.  Median
     spacing and median slope set the scale: worst-case (maximum) slopes
     would let one steep feature, such as a radial cliff on an evolving
     curve, wash out sign structure that is perfectly resolved elsewhere.
-    ``ds`` is the parameter spacing and ``h`` its median.
+    ``ds`` is the parameter spacing and ``h`` its median.  A given ``tol``
+    must be at least 0: a negative one would give a zero gap both signs.
     """
+    if tol is not None:
+        tol = float(tol)
+        if not tol >= 0.0:  # written so that a NaN fails the test
+            raise ValueError(f"tol must be at least 0, got {tol!r}")
+        return tol
     slopes = np.abs(np.diff(gap)) / ds
     return float(3.0 * h * np.median(slopes) + 1e-14)
 
@@ -215,7 +222,7 @@ def word_from_gap(param: np.ndarray, gap: np.ndarray, tol: float | None = None) 
 
     ds = np.diff(param)
     h = float(np.median(ds))
-    tol_val = _default_tolerance(ds, h, gap) if tol is None else float(tol)
+    tol_val = _tolerance(ds, h, gap, tol)
 
     cls = np.zeros(len(gap), dtype=int)
     cls[gap > tol_val] = 1
@@ -288,7 +295,7 @@ def semi_order(c1: SampledCurve, c2: SampledCurve, tol: float | None = None) -> 
     """
     gp = gap_profile(c1, c2)
     ds = np.diff(gp.param)
-    tol_val = _default_tolerance(ds, np.median(ds), gp.gap) if tol is None else float(tol)
+    tol_val = _tolerance(ds, np.median(ds), gp.gap, tol)
     above = gp.gap > tol_val
     below = gp.gap < -tol_val
     if np.all(above):

@@ -209,12 +209,15 @@ def cmd_bisect(cfg: RunConfig, quiet: bool) -> int:
 
 def cmd_verify(only: str | None, quiet: bool) -> int:
     numbers = None
-    if only:
+    if only is not None:
         try:
             numbers = [int(tok) for tok in only.split(",") if tok.strip()]
         except ValueError:
             print(f"--only expects comma-separated criterion numbers, got {only!r}",
                   file=sys.stderr)
+            return 1
+        if not numbers:
+            print(f"--only selects no criterion: {only!r}", file=sys.stderr)
             return 1
         bad = [n for n in numbers if n not in CRITERIA]
         if bad:

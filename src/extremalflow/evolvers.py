@@ -51,16 +51,17 @@ checks every 32 steps); a row whose right-hand side is not finite is
 through the zero coupling (0 * inf is NaN).  Buffers are reused across
 steps.
 
-``evolve_batch`` drives full runs from family curves: every member
-switches to the polar chart at the first step or sample at which its
-graph is ``_GraphChart.steep`` (a cell slope past ``SLOPE_SWITCH``, on
-or above the axis) and stays there, since both equilibria have a polar
-form; it records diagnostics on a fixed sampling cadence and terminates
-on its first classification event.  Between samples the graph-chart
-members are advanced together, then the polar-chart ones, so that a
-member handed off mid-interval finishes the interval in the polar
-chart.  Each member keeps its trial step from one interval to the next
-and starts again from ``ctl.dt`` in the polar chart.  ``evolve`` is its one-member case; a caller
+``evolve_batch`` drives full runs from family curves: a member whose
+graph is ``_GraphChart.steep`` (a cell slope past ``SLOPE_SWITCH``, on or
+above the axis) is stopped as 'steep' by ``_advance`` before its next
+step and switches there, and only there, to the polar chart for good,
+since both equilibria have a polar form; it records diagnostics on a
+fixed sampling cadence and terminates on its first classification event.
+Between samples the graph-chart members are advanced together, then the
+polar-chart ones, so that a member handed off in an interval (at its
+start included) finishes the interval in the polar chart.  Each member
+keeps its trial step from one interval to the next and starts again
+from ``ctl.dt`` in the polar chart.  ``evolve`` is its one-member case; a caller
 that keeps only outcomes (a sweep) has each member keep only its latest
 sample, so a batch holds K states, not K histories.
 """
@@ -123,8 +124,8 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e6
 ORIGIN_LIMIT = 1e-9
-# Graph cell slope past which a step or a sample hands a curve on or above
-# the axis to the polar chart, for the rest of its run.
+# Graph cell slope past which a curve on or above the axis is handed to the
+# polar chart before its next step, for the rest of its run.
 SLOPE_SWITCH = 10.0
 # Steps whose states are buffered per evaluation of the tracked energy.
 ENERGY_CHUNK = 64
@@ -396,11 +397,11 @@ class _GraphChart:
     Since M >= 1, the explicit step cfl * dx^2 * min(M) is cfl * dx^2 on
     a graph with a node of zero slope.  A chart built with ``params``
     (that of a full run) compares against their lower equilibrium and
-    stops a row by one rule, ``steep``, before every step (``guard``)
-    and at each sample (``leave``): near the pins the discrete forcing
-    A*sqrt(1 + u_x^2) outruns the diffusion as the wall steepens.  A
-    steep row hands off to the polar chart, or ends as a blow-up if the
-    curve is not star-shaped; a graph below the axis has no polar chart.
+    stops a row by one rule, ``steep``, before every step (``guard``):
+    near the pins the discrete forcing A*sqrt(1 + u_x^2) outruns the
+    diffusion as the wall steepens.  ``evolve_batch`` hands a steep row
+    off to the polar chart, or ends it as a blow-up if the curve is not
+    star-shaped; a graph below the axis has no polar chart.
 
     The stepping methods take a (k, n) array of states, one per row.
     """
@@ -497,19 +498,6 @@ class _GraphChart:
     def lost(self, rec) -> bool:
         return False
 
-    def leave(self, curve, u):
-        """Polar state to switch to, or None to stay: the graph must be
-        ``steep`` and the curve star-shaped.  A row that ``guard`` stops
-        as steep passes the same test; with no star-shaped resampling it
-        ends the run as a blow-up in the graph chart.
-        """
-        if not self.steep(u[None]):
-            return None
-        try:
-            return switch_chart(curve, self.params).rho.copy()
-        except ValueError:
-            return None
-
 
 class _PolarChart:
     """Polar radii rho(theta), pinned to a: M = rho^2 + rho_theta^2 and
@@ -584,11 +572,6 @@ class _PolarChart:
     def lost(self, rec) -> bool:
         """Endpoint tangent turned outward-horizontal: the chart is failing."""
         return rec.tangent_y_P <= 0.0 or rec.tangent_y_Q >= 0.0
-
-    def leave(self, curve, rho):
-        """None: a polar run stays polar.  Both equilibria are polar arcs,
-        so every category is reached without the graph chart."""
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -979,25 +962,19 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
 
 class _Run:
     """One member of a batch: its chart, state, time, trial step, tracker
-    and records.  It starts in the graph chart and may hand off once, to
-    ``polar``."""
+    and records.  It starts in the graph chart; ``evolve_batch`` may hand
+    it off once, to the polar chart."""
 
-    __slots__ = ("fam", "index", "chart", "polar", "s", "t", "t_next", "dt", "tracker",
+    __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "dt", "tracker",
                  "history", "snapshots", "diagnostics", "event")
 
-    def __init__(self, index, fam, graph, polar, s, dt, history):
-        self.index, self.fam, self.chart, self.polar, self.s = index, fam, graph, polar, s
+    def __init__(self, index, fam, graph, s, dt, history):
+        self.index, self.fam, self.chart, self.s = index, fam, graph, s
         self.t, self.dt, self.tracker, self.history = 0.0, dt, _EnergyTracker(), history
         self.snapshots, self.diagnostics, self.event = [], [], None
 
-    def switch(self, rho, dt):
-        """Continue in the polar chart from radii ``rho`` with the trial step ``dt``."""
-        self.chart, self.s, self.dt = self.polar, rho, dt
-        self.tracker.reset()
-
     def sample(self, ctl, tols, horizon):
-        """Record a sample; then fire an event, or hand off to the polar
-        chart if the graph ``leave``s, and set the next sample time."""
+        """Record a sample; then fire an event, or set the next sample time."""
         chart = self.chart
         curve = chart.sample(self.s)
         rec, min_gap_up = _diagnose(chart, self.s, curve, self.t)
@@ -1008,9 +985,6 @@ class _Run:
         self.snapshots.append((self.t, curve))
         self.event = _decide(chart, rec, min_gap_up, tols, horizon)
         if self.event is None:
-            rho = chart.leave(curve, self.s)
-            if rho is not None:
-                self.switch(rho, ctl.dt)
             self.t_next = min(self.t + ctl.sample_interval, horizon)
 
     def trajectory(self) -> Trajectory:
@@ -1036,8 +1010,10 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     sample on the ``ctl.sample_interval`` cadence, each with its own time,
     steps, energy tracker and event.
     Between samples the graph-chart members are advanced as one
-    ``(k, n)`` state and then the polar-chart ones, so that a member
-    handed off mid-interval finishes the interval in the polar chart.
+    ``(k, n)`` state and then the polar-chart ones.  A member that
+    ``_advance`` stops as 'steep' (before its first step of the interval
+    or later) is handed off here, the one place a run changes chart, and
+    finishes the interval in the polar chart.
     """
     fams = list(fams)
     if not fams:
@@ -1050,7 +1026,7 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     horizon = min(ctl.t_max, tols.t_max)
 
     runs = [
-        _Run(i, fam, graph, polar, initial_curve(fam).u.copy(), ctl.dt, history)
+        _Run(i, fam, graph, initial_curve(fam).u.copy(), ctl.dt, history)
         for i, fam in enumerate(fams)
     ]
     while runs:
@@ -1072,12 +1048,14 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
             for run, s, t_run, dt, st in zip(group, S, t, dts, status):
                 run.s, run.t, run.dt = s, t_run, dt
                 if st == "steep":
-                    # hand off mid-interval, before the graph representation fails
-                    rho = chart.leave(chart.sample(s), s)
-                    if rho is None:
+                    # hand off before the graph representation fails
+                    try:
+                        run.s = switch_chart(chart.sample(s), params).rho
+                    except ValueError:
                         st = "blown"
                     else:
-                        run.switch(rho, ctl.dt)
+                        run.chart, run.dt = polar, ctl.dt
+                        run.tracker.reset()
                 if st == "blown":
                     run.event = TerminationEvent(EventKind.BLOWUP, t_run, f"in {chart.name} chart")
         for run in runs:

@@ -109,7 +109,7 @@ def grim_reaper_value(b: float, C: float, x, t):
     identically and translates downward with speed 1/b.  Defined only for
     |x| < b*pi/2.
     """
-    if b <= 0:
+    if not b > 0:  # written so that a NaN fails the test
         raise ValueError("width b must be positive")
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) >= b * np.pi / 2.0):
@@ -120,6 +120,8 @@ def grim_reaper_value(b: float, C: float, x, t):
 
 def grim_reaper_kink(b: float, C: float, t: float) -> float:
     """Positive root x(t) of G(x, t) = 0, i.e. where the capped wave meets y = 0."""
+    if not b > 0:  # written so that a NaN fails the test
+        raise ValueError("width b must be positive")
     if t >= b * C:
         return 0.0
     arg = np.exp((t - b * C) / b**2)
@@ -131,11 +133,11 @@ def grim_reaper_subsolution(params: ProblemParams, b: float, C: float, t: float)
 
     The curve is max(G(x, t), 0) on |x| < b*pi/2 and 0 on the remaining
     span; it is a moving sub-solution of the driven flow whenever
-    b < 2a/pi.  For t >= b*C the wave has dropped below the axis and the
+    0 < b < 2a/pi.  For t >= b*C the wave has dropped below the axis and the
     curve degenerates to the straight baseline segment.
     """
-    if b >= 2.0 * params.a / np.pi:
-        raise ValueError("grim reaper sub-solution requires b < 2a/pi")
+    if not 0 < b < 2.0 * params.a / np.pi:  # written so that a NaN fails the test
+        raise ValueError("grim reaper sub-solution requires 0 < b < 2a/pi")
     x = params.x_nodes()
     y = np.zeros_like(x)
     inside = np.abs(x) < b * np.pi / 2.0

@@ -107,6 +107,20 @@ def test_coincidence_length_does_not_depend_on_tolerance():
             word_from_gap(param, gap, tol)
 
 
+def test_negative_or_nan_tolerance_is_rejected(lower):
+    # a negative tolerance would class every gap as both signs: the word
+    # +-+- would read '-' and touching curves 'Above'
+    param = np.linspace(0.0, 1.0, 101)[1:-1]
+    gap = np.sin(4.0 * np.pi * param)
+    assert word_from_gap(param, gap).letters == word_from_gap(param, gap, 0.0).letters == "+-+-"
+    assert semi_order(lower, lower, tol=0.0) == "Touching"
+    for tol in (-1.0, -1e-300, np.nan):
+        with pytest.raises(ValueError, match="tol must be at least 0"):
+            word_from_gap(param, gap, tol)
+        with pytest.raises(ValueError, match="tol must be at least 0"):
+            semi_order(lower, lower, tol=tol)
+
+
 def test_tangential_contact_collapses(params):
     # two crossings squeezed inside the tolerance count as one contact,
     # keeping both flanking letters

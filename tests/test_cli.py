@@ -203,6 +203,14 @@ def test_verify_with_coarse_config(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_rejects_an_empty_selection(capsys):
+    # a selection naming no criterion runs none, rather than all eleven
+    for only in (",", "", " , "):
+        assert main(["verify", "--only", only]) == 1
+        captured = capsys.readouterr()
+        assert "selects no criterion" in captured.err and captured.out == ""
+
+
 def test_verify_rejects_bad_selection(capsys):
     assert main(["verify", "--only", "12"]) == 1
     assert main(["verify", "--only", "abc"]) == 1

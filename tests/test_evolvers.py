@@ -451,19 +451,17 @@ def test_graph_hands_off_past_the_switch_slope(grid_n, sigma, hands_off):
     params = ProblemParams(A=1.0, a=0.5, grid_n=grid_n)
     chart = evolvers._GraphChart(params.dx, params.A, params)
     u = initial_curve(InitialFamily(params, sigma=sigma)).u
-    curve = chart.sample(u)
-    rho = chart.leave(curve, u)
     slope = float(np.max(np.abs(np.diff(u)))) / params.dx
     assert (slope > evolvers.SLOPE_SWITCH) is hands_off
-    if hands_off:
-        assert rho.tobytes() == switch_chart(curve, params).rho.tobytes()
-    else:
-        assert rho is None
+    assert chart.steep(u[None]) == ([0] if hands_off else [])
+    if hands_off:  # the curve has its polar resampling
+        switch_chart(chart.sample(u), params)
 
 
 def test_one_steepness_rule_for_guard_and_sample(params_coarse):
-    # one rule decides "too steep for the graph chart", in every step and
-    # at a sample: some cell slope past SLOPE_SWITCH, on or above the axis
+    # one rule decides "too steep for the graph chart", before every step
+    # (a sample tests none): some cell slope past SLOPE_SWITCH, on or
+    # above the axis
     params = params_coarse
     x, h = params.x_nodes(), params.dx
     bump = (1.0 - (x / params.a) ** 2) ** 2  # flat at the pins: steepest inside
@@ -478,7 +476,11 @@ def test_one_steepness_rule_for_guard_and_sample(params_coarse):
     # polar chart and stays; the mild row stays
     assert chart.guard(X, d1, 0) == {0: "steep"}
     for i, u in enumerate(X):
-        assert (chart.leave(chart.sample(u), u) is not None) is (i == 0)
+        assert chart.steep(u[None]) == ([0] if i == 0 else [])
+    # the steep row has its polar resampling; the row below the axis has none
+    switch_chart(chart.sample(X[0]), params)
+    with pytest.raises(ValueError):
+        switch_chart(chart.sample(X[1]), params)
     # a bare chart (stepping with no run around it) tests no steepness
     assert evolvers._GraphChart(h, params.A).guard(X, d1, 0) is None
 
@@ -532,7 +534,7 @@ def _charts(traj):
 
 # -1 and 0.1 stay in the graph chart; 2.9 starts below SLOPE_SWITCH and
 # hands off to the polar chart at the first step past it, mid-interval;
-# 10 starts past it and switches at its first sample
+# 10 starts past it and hands off before its first step, at t = 0
 _PATHS = [-1.0, 0.1, 2.9, 10.0]
 
 
@@ -585,6 +587,24 @@ def test_batch_paths_are_reached(monkeypatch):
     _assert_same_run(traj, _alone(2.9))
     ((chart, t, status),) = stops
     assert chart == "graph" and status == "steep" and 0.0 < t < _BATCH_CTL.sample_interval
+    # a graph steep from the start leaves it at t = 0, before any step:
+    # switch_chart resamples its t = 0 sample, once
+    resample, curves = evolvers.switch_chart, []
+
+    def spy_resample(curve, params):
+        curves.append(curve)
+        return resample(curve, params)
+
+    monkeypatch.setattr(evolvers, "switch_chart", spy_resample)
+    for sigma in (10.0, 157.0):
+        stops.clear()
+        curves.clear()
+        traj = evolve(InitialFamily(_BATCH_PARAMS, sigma=sigma), _BATCH_CTL, _BATCH_TOLS)
+        assert stops == [("graph", 0.0, "steep")]
+        (curve,) = curves
+        t0, first = traj.snapshots[0]
+        assert t0 == 0.0 and curve.points.tobytes() == first.points.tobytes()
+        assert re.fullmatch("gp+", _charts(traj))
 
 
 def test_a_run_never_returns_to_the_graph_chart():
@@ -670,7 +690,7 @@ def test_chunked_energy_audit_matches_per_step(monkeypatch, chunk):
     # a chunk of 1 evaluates the energy after every step; 3 flushes
     # mid-interval and partly filled at each interval's end; the batch
     # members finish at different steps, 2.9 switches charts at its first
-    # steep step, mid-interval, and 10.0 at its first sample
+    # steep step, mid-interval, and 10.0 before its first step
     sigmas = [0.1, 2.9, 10.0, -1.0, 0.5]
     fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
     default = {s: _alone(s).max_step_energy_increase.hex() for s in sigmas}

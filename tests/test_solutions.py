@@ -118,6 +118,18 @@ def test_reaper_domain_error():
         grim_reaper_value(0.25, 3.0, 0.25 * np.pi / 2, 0.0)
 
 
+def test_reaper_rejects_a_width_not_positive(params):
+    # a wave of width b <= 0 (or NaN) does not exist: its kink and its
+    # sub-solution refuse it as the wave does, not return 0 or the baseline
+    for b in (0.0, -0.1, -0.25, np.nan):
+        with pytest.raises(ValueError, match="width b must be positive"):
+            grim_reaper_value(b, 3.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="width b must be positive"):
+            grim_reaper_kink(b, 3.0, 0.0)
+        with pytest.raises(ValueError, match="requires 0 < b"):
+            grim_reaper_subsolution(params, b, 3.0, 0.0)
+
+
 def test_reaper_subsolution_baseline_and_apex(params):
     b, C = 0.25, 3.0
     flat = grim_reaper_subsolution(params, b, C, t=b * C + 1.0)
