@@ -70,22 +70,12 @@ def classify(
 ) -> tuple[Category, Trajectory]:
     """Run one amplitude to its termination event and name its fate.
 
-    A run losing the polar chart while its sign word already reads '+'
-    is counted as an escape: past the upper equilibrium the curve may
-    genuinely become singular in finite time.  Blowups and exhausted
-    horizons are Undetermined (the event on the trajectory keeps the
-    distinction).
+    Each certificate (escape clearance, convergence to either
+    equilibrium) names its category; blowups and exhausted horizons are
+    Undetermined (the event on the trajectory keeps the distinction).
     """
     traj = evolve(fam, ctl, tols)
-    return _category(traj), traj
-
-
-def _category(traj: Trajectory) -> Category:
-    kind = traj.event.kind
-    if kind is EventKind.CHART_LOSS:
-        last_word = traj.diagnostics[-1].sgn_upper
-        return Category.ESCAPE if last_word == "+" else Category.UNDETERMINED
-    return _EVENT_TO_CATEGORY[kind]
+    return _EVENT_TO_CATEGORY[traj.event.kind], traj
 
 
 def _classify_batch(template: InitialFamily, sigmas, ctl, tols):
@@ -93,7 +83,7 @@ def _classify_batch(template: InitialFamily, sigmas, ctl, tols):
     one batch finishes; a trajectory holds only its last sample."""
     fams = [template.with_sigma(s) for s in sigmas]
     for i, traj in evolve_batch(fams, ctl, tols, history=False):
-        yield i, _category(traj), traj
+        yield i, _EVENT_TO_CATEGORY[traj.event.kind], traj
 
 
 @dataclass(frozen=True)
@@ -203,9 +193,9 @@ def bisect_sigma_star(
     The endpoints are verified first, in one two-member batch; each
     midpoint then replaces the side its category dictates: Escape and
     ConvergeUpper move ``hi``, ConvergeLower moves ``lo``.  A midpoint
-    that ends Undetermined (horizon, blowup, or chart loss without a '+'
-    word) has no certified side, so it raises ``ValueError`` naming its
-    amplitude, its event and the certified enclosure so far.
+    that ends Undetermined (horizon or blowup) has no certified side, so
+    it raises ``ValueError`` naming its amplitude, its event and the
+    certified enclosure so far.
     """
     if not lo0 < hi0:
         raise ValueError("need lo0 < hi0")

@@ -267,7 +267,6 @@ class EventKind(Enum):
     ESCAPED = "Escaped"
     CONVERGED_LOWER = "ConvergedLower"
     CONVERGED_UPPER = "ConvergedUpper"
-    CHART_LOSS = "ChartLoss"
     HORIZON_REACHED = "HorizonReached"
     BLOWUP = "Blowup"
 
@@ -292,7 +291,6 @@ class DiagnosticRecord:
     sgn_upper: str | None
     kappa_dev_P: float
     tangent_y_P: float
-    tangent_y_Q: float
     dist_lower: float
     dist_upper: float
 
@@ -495,9 +493,6 @@ class _GraphChart:
         dist_lower = float(np.max(np.abs(u - self.lower)))
         return x_fill, gap, dist_lower, float("nan"), float("-inf")
 
-    def lost(self, rec) -> bool:
-        return False
-
 
 class _PolarChart:
     """Polar radii rho(theta), pinned to a: M = rho^2 + rho_theta^2 and
@@ -568,10 +563,6 @@ class _PolarChart:
         dist_lower = float(np.max(np.abs(rho - self.lower)))
         dist_upper = float(np.max(np.abs(rho - self.upper)))
         return self.theta[1:-1], gap, dist_lower, dist_upper, float(np.min(gap))
-
-    def lost(self, rec) -> bool:
-        """Endpoint tangent turned outward-horizontal: the chart is failing."""
-        return rec.tangent_y_P <= 0.0 or rec.tangent_y_Q >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +929,8 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
     ``SLOPE_SWITCH`` and the curve has a star-shaped resampling,
     evolution hands off to the polar chart for good: both equilibria
     are polar arcs, so no run needs the graph chart again.  Diagnostics are
-    recorded every ``ctl.sample_interval`` time units and events are
-    evaluated on that cadence:
+    recorded every ``ctl.sample_interval`` time units, and on that cadence
+    the run ends on a certificate (escape, convergence) or a limit:
 
     * ``Escaped``           -- sign word '+' against the upper equilibrium
                                with interior radial clearance above
@@ -947,12 +938,10 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
     * ``ConvergedLower/Upper`` -- sup-distance to the equilibrium below
                                ``tols.converge`` with dissipation below
                                ``tols.dissipation``,
-    * ``ChartLoss``         -- endpoint tangent turning outward-horizontal
-                               in the polar chart before escape,
     * ``HorizonReached``    -- the time horizon min(ctl.t_max, tols.t_max),
-    * ``Blowup``            -- state out of representable range, or a
-                               graph too steep to go on with no polar
-                               resampling.
+    * ``Blowup``            -- a state out of range, a polar radius at
+                               the origin, or a graph too steep to go on
+                               with no polar resampling.
 
     This is the one-member case of ``evolve_batch``.
     """
@@ -983,7 +972,7 @@ class _Run:
             self.snapshots.clear()
         self.diagnostics.append(rec)
         self.snapshots.append((self.t, curve))
-        self.event = _decide(chart, rec, min_gap_up, tols, horizon)
+        self.event = _decide(rec, min_gap_up, tols, horizon)
         if self.event is None:
             self.t_next = min(self.t + ctl.sample_interval, horizon)
 
@@ -1067,7 +1056,6 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
 def _diagnose(chart, s, curve: SampledCurve, t: float):
     """Diagnostics of a sample, and its smallest gap above the upper equilibrium."""
     L, S, E = energy(curve, chart.A)
-    tangents = endpoint_tangents(curve)
     V, ds = _normal_velocity(s, chart)
     param, gap_up, dist_lower, dist_upper, min_gap_up = chart.compare(s)
     try:
@@ -1083,15 +1071,14 @@ def _diagnose(chart, s, curve: SampledCurve, t: float):
         dissipation=float(_sum(V * V * ds)),
         sgn_upper=letters,
         kappa_dev_P=abs(float(V[chart.near_P])),
-        tangent_y_P=float(tangents.at_P[1]),
-        tangent_y_Q=float(tangents.at_Q[1]),
+        tangent_y_P=float(endpoint_tangents(curve).at_P[1]),
         dist_lower=dist_lower,
         dist_upper=dist_upper,
     )
     return rec, min_gap_up
 
 
-def _decide(chart, rec: DiagnosticRecord, min_gap_up: float, tols, horizon: float):
+def _decide(rec: DiagnosticRecord, min_gap_up: float, tols, horizon: float):
     """The termination event a sample fires, or None."""
     t = rec.t
     settled = rec.dissipation < tols.dissipation
@@ -1101,8 +1088,6 @@ def _decide(chart, rec: DiagnosticRecord, min_gap_up: float, tols, horizon: floa
         return TerminationEvent(EventKind.CONVERGED_LOWER, t, f"sup-distance {rec.dist_lower:.3e}")
     if rec.dist_upper < tols.converge and settled:
         return TerminationEvent(EventKind.CONVERGED_UPPER, t, f"sup-distance {rec.dist_upper:.3e}")
-    if chart.lost(rec):
-        return TerminationEvent(EventKind.CHART_LOSS, t, f"last word {rec.sgn_upper or '?'}")
     if t >= horizon - 1e-12:
         return TerminationEvent(EventKind.HORIZON_REACHED, t, "")
     return None

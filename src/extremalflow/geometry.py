@@ -340,7 +340,7 @@ def endpoint_tangents(c: SampledCurve) -> EndpointTangents:
 
     Both tangents point in the P -> Q direction: ``at_P`` leaves P along
     the curve, ``at_Q`` arrives at Q.  The y-component of ``at_P`` is the
-    chart-regularity indicator used by the evolvers.
+    ``tangent_y_P`` column of the evolvers' ``diagnostics.csv``.
     """
     pts = c.points
     if len(pts) < 3:

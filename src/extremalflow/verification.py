@@ -473,13 +473,16 @@ def run_one(number: int, ctx: VerificationContext) -> CriterionResult:
 
 
 def run_all(numbers=None, quiet: bool = False):
-    """Run the selected acceptance criteria (all by default) in order.
+    """Run each selected acceptance criterion once, in order (all for
+    ``None``; an empty selection raises ``ValueError``).
 
     Returns the list of :class:`CriterionResult`; prints one line per
     criterion unless ``quiet``.
     """
+    selected = sorted(CRITERIA if numbers is None else set(numbers))
+    if not selected:
+        raise ValueError("no acceptance criterion selected")
     ctx = VerificationContext()
-    selected = sorted(numbers) if numbers else sorted(CRITERIA)
     results = []
     for n in selected:
         res = run_one(n, ctx)

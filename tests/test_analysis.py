@@ -6,6 +6,7 @@ import pytest
 from extremalflow import (
     GraphProfile,
     InitialFamily,
+    PolarProfile,
     SgnWord,
     Unresolvable,
     energy,
@@ -20,7 +21,7 @@ from extremalflow import (
     sgn_word,
     subword,
 )
-from extremalflow.analysis import word_from_gap
+from extremalflow.analysis import _heights_at, gap_profile, word_from_gap
 from extremalflow.evolvers import StepControl, advance_graph
 
 from conftest import diagnose, pinned_curve
@@ -145,6 +146,25 @@ def test_no_common_parameterization_raises(params):
     zigzag = SampledCurve(np.array([[-0.5, 0.0], [0.4, 0.2], [-0.4, 0.25], [0.5, 0.0]]))
     with pytest.raises(ValueError):
         sgn_word(blob, zigzag)
+
+
+def test_star_shaped_curves_compare_by_polar_angle(params_coarse):
+    # a narrow radial bump near theta = 1.65 folds the curve back over
+    # itself in x, so no x chart exists; both curves are star-shaped, and
+    # the gap is taken over the polar angle
+    p = params_coarse
+    theta, upper = p.theta_nodes(), gamma_upper(p)
+    rho = upper.rho * (1 + 0.05 * np.sin(theta) ** 2)
+    rho *= 1 + 2 * np.exp(-(((theta - 1.65) / 0.03) ** 2))
+    rho[0] = rho[-1] = p.a
+    bumped, arc = polar_to_sampled(PolarProfile(p, rho)), polar_to_sampled(upper)
+    with pytest.raises(ValueError, match="not single-valued"):
+        _heights_at(bumped, np.linspace(-p.a, p.a, 101)[1:-1])
+    gap = gap_profile(bumped, arc)
+    assert 0.0 < gap.param.min() and gap.param.max() < np.pi
+    assert gap.param.max() > p.a  # angles, not abscissae
+    assert sgn_word(bumped, arc).letters == "+"
+    assert sgn_word(arc, bumped).letters == "-"
 
 
 # --- subword algebra -------------------------------------------------------------

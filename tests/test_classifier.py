@@ -64,28 +64,6 @@ def test_classify_dominating_amplitude_escapes(params_coarse, template, ctl, tol
     assert traj.diagnostics[-1].sgn_upper == "+"
 
 
-def test_chart_loss_maps_by_pending_word(template, ctl, tols, monkeypatch):
-    # losing the polar chart after the word has flipped to '+' is an
-    # escape (past the upper equilibrium the curve may become singular);
-    # losing it in any other state stays undetermined
-    import extremalflow.classifier as cl
-    from extremalflow.evolvers import EventKind, TerminationEvent
-
-    class FakeDiag:
-        def __init__(self, word):
-            self.sgn_upper = word
-
-    class FakeTraj:
-        def __init__(self, word):
-            self.event = TerminationEvent(EventKind.CHART_LOSS, 1.0)
-            self.diagnostics = [FakeDiag(word)]
-
-    for word, expected in (("+", Category.ESCAPE), ("-+-", Category.UNDETERMINED)):
-        monkeypatch.setattr(cl, "evolve", lambda *a, word=word: FakeTraj(word))
-        cat, _ = cl.classify(template, ctl, tols)
-        assert cat is expected
-
-
 def test_classification_deterministic(template, ctl, tols):
     _, t1 = classify(template.with_sigma(0.1), ctl, tols)
     _, t2 = classify(template.with_sigma(0.1), ctl, tols)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from extremalflow import cli
+from extremalflow import cli, verification
 from extremalflow.cli import ConfigError, load_config, main
 from extremalflow.solutions import grim_reaper_dominating_sigma
 
@@ -131,6 +131,33 @@ def test_run_missing_config_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", "grid_n 41\n", "run.cfg:1: expected key = value"),
+        ("bisect", "bisect_hi = abc\n", "config error: bisect_hi must be a number or 'auto', got 'abc'"),
+        ("sweep", "sigmas = 1,x\n", "config error: bad sigmas list: '1,x'"),
+    ],
+)
+def test_config_errors_exit_1(tmp_path, capsys, command, text, message):
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_order_violation_exits_1(tmp_path, capsys, monkeypatch):
+    def violated(*args):
+        raise cli.MonotonicityError("ConvergeLower at sigma=5 above Escape at sigma=4")
+
+    monkeypatch.setattr(cli, "sweep", violated)
+    cfg = write_cfg(tmp_path, "sigmas = 4,5\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("diagnostic failure: ConvergeLower at sigma=5")
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_of_scope_regime_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "A = 1.0\na = 1.2\n")
     assert main(["run", "--config", cfg]) == 1
@@ -209,6 +236,29 @@ def test_verify_rejects_an_empty_selection(capsys):
         assert main(["verify", "--only", only]) == 1
         captured = capsys.readouterr()
         assert "selects no criterion" in captured.err and captured.out == ""
+
+
+def test_verify_runs_a_repeated_criterion_once(capsys):
+    assert main(["verify", "--only", "10,10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[-1] == "1/1 acceptance criteria passed"
+
+
+def test_run_all_selects_each_criterion_once(monkeypatch):
+    ran = []
+
+    def fake_run_one(number, ctx):
+        ran.append(number)
+        return verification.CriterionResult(number, "fake", True, "")
+
+    monkeypatch.setattr(verification, "run_one", fake_run_one)
+    assert [r.number for r in verification.run_all([10, 2, 10], quiet=True)] == [2, 10]
+    with pytest.raises(ValueError, match="no acceptance criterion"):
+        verification.run_all([], quiet=True)
+    assert ran == [2, 10]
+    ran.clear()
+    verification.run_all(None, quiet=True)
+    assert ran == sorted(verification.CRITERIA)
 
 
 def test_verify_rejects_bad_selection(capsys):

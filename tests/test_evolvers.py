@@ -665,24 +665,30 @@ def test_refused_steep_handoff_stays_in_the_graph_chart(monkeypatch):
     _assert_same_run(done[2], alone)
 
 
-def test_decide_fires_chart_loss_on_outward_tangents(params):
-    # the polar chart is lost once an endpoint tangent turns
-    # outward-horizontal; the event names the last word
-    polar = evolvers._PolarChart(params.dtheta, params.A, params.a, params)
-    graph = evolvers._GraphChart(params.dx, params.A, params)
-    tols = ClassifierTolerances()
-    rec = evolvers.DiagnosticRecord(
-        t=1.5, chart="polar", L=2.0, S=0.5, E=1.5, dissipation=1.0, sgn_upper="-+",
-        kappa_dev_P=0.0, tangent_y_P=0.0, tangent_y_Q=-0.5, dist_lower=1.0, dist_upper=1.0,
-    )
-    lost = evolvers.TerminationEvent(EventKind.CHART_LOSS, 1.5, "last word -+")
-    assert evolvers._decide(polar, rec, -1.0, tols, 50.0) == lost
-    rec = replace(rec, sgn_upper=None, tangent_y_P=0.5, tangent_y_Q=0.0)
-    lost = evolvers.TerminationEvent(EventKind.CHART_LOSS, 1.5, "last word ?")
-    assert evolvers._decide(polar, rec, -1.0, tols, 50.0) == lost
-    # inward tangents keep the polar chart; the graph chart is never lost
-    assert evolvers._decide(polar, replace(rec, tangent_y_Q=-0.5), -1.0, tols, 50.0) is None
-    assert evolvers._decide(graph, replace(rec, chart="graph"), -1.0, tols, 50.0) is None
+@pytest.mark.parametrize(
+    "sigma, deformation",
+    [(10.0, "cliff"), (157.0, "cliff"), (10.0, "dip")],
+)
+def test_a_deformed_polar_state_ends_on_a_certificate_or_a_limit(monkeypatch, sigma, deformation):
+    # the handoff's resampling is deformed at the node next to P.  A cliff
+    # turns the endpoint tangent outward, and the run still ends on the
+    # certificate of the undeformed run; a dip to the origin is a limit,
+    # caught before any polar step
+    resample = evolvers.switch_chart
+
+    def deform(curve, params):
+        rho = resample(curve, params).rho.copy()
+        rho[-2] = rho[-2] + 3.0 if deformation == "cliff" else 1e-10
+        return PolarProfile(params, rho)
+
+    monkeypatch.setattr(evolvers, "switch_chart", deform)
+    traj = evolve(InitialFamily(_BATCH_PARAMS, sigma=sigma), _BATCH_CTL, _BATCH_TOLS)
+    if deformation == "cliff":
+        assert next(d for d in traj.diagnostics if d.chart == "polar").tangent_y_P < 0.0
+        assert traj.event.kind is EventKind.ESCAPED
+        assert traj.event == _alone(sigma).event
+    else:
+        assert traj.event == evolvers.TerminationEvent(EventKind.BLOWUP, 0.0, "in polar chart")
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
