@@ -5,13 +5,16 @@ Bracketing the critical amplitude
 Amplitudes below a critical value sink to the lower equilibrium;
 amplitudes above it escape.  Both sets are open half-lines, so bisection
 between any certified member of each encloses the threshold.  Orbits
-started near the threshold shadow the upper equilibrium before
-committing, and tighter brackets shadow longer and closer -- at the
-midpoint of a sufficiently tight bracket the orbit is captured by the
-upper equilibrium itself, the borderline case of the trichotomy.
+started near the threshold shadow the upper equilibrium, the borderline
+case of the trichotomy, before committing to one side; tighter brackets
+shadow longer and closer.  The midpoint is evolved as an orbit run
+(``converge = 0``), so no convergence proxy stops it while it lingers
+near the upper equilibrium: it runs on until it escapes or reaches the
+horizon, and its diagnostics show the closest approach and the dwell.
 """
 
 import time
+from dataclasses import replace
 
 from extremalflow import (
     ClassifierTolerances,
@@ -19,7 +22,7 @@ from extremalflow import (
     ProblemParams,
     StepControl,
     bisect_sigma_star,
-    critical_run,
+    evolve,
     sweep,
 )
 from extremalflow.classifier import closest_upper_approach, upper_dwell_time
@@ -47,7 +50,7 @@ print(f"critical amplitude in [{bracket.lo:.5f}, {bracket.hi:.5f}] "
       f"(width {bracket.width:.5f})")
 
 # --- the near-critical orbit shadows the separatrix -----------------------------
-traj = critical_run(template.with_sigma(bracket.midpoint), ctl, tols)
+traj = evolve(template.with_sigma(bracket.midpoint), ctl, replace(tols, converge=0.0))
 print(f"\nmidpoint {bracket.midpoint:.5f}: {traj.event.kind.value} at t={traj.event.t:.1f}")
 print(f"closest approach to the upper equilibrium: {closest_upper_approach(traj):.2e}")
 print(f"dwell time within 10x converge tolerance:  "

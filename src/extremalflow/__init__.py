@@ -63,7 +63,6 @@ from .classifier import (
     MonotonicityError,
     bisect_sigma_star,
     classify,
-    critical_run,
     sweep,
 )
 

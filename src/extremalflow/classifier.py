@@ -16,7 +16,7 @@ outcome is bitwise that of its own ``classify``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .analysis import intersection_audit
@@ -39,7 +39,6 @@ __all__ = [
     "classify",
     "sweep",
     "bisect_sigma_star",
-    "critical_run",
     "closest_upper_approach",
     "upper_dwell_time",
 ]
@@ -241,21 +240,6 @@ def bisect_sigma_star(
         grid_n=template.params.grid_n,
         iterations=tuple(log),
     )
-
-
-def critical_run(
-    fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances
-) -> Trajectory:
-    """Evolve a near-critical amplitude with an extended horizon.
-
-    Intended for the midpoint of a tight bracket: the orbit shadows the
-    upper equilibrium before committing, and the trajectory diagnostics
-    expose the closest approach and the dwell time near it.
-    """
-    ctl_long = replace(ctl, t_max=1.5 * ctl.t_max)
-    tols_long = replace(tols, t_max=1.5 * tols.t_max)
-    _, traj = classify(fam, ctl_long, tols_long)
-    return traj
 
 
 def closest_upper_approach(traj: Trajectory) -> float:

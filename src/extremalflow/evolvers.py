@@ -244,7 +244,9 @@ class ClassifierTolerances:
     """Finite-time proxies for the asymptotic statements of the theory.
 
     ``converge``: sup-distance at which an orbit is declared locked onto
-    an equilibrium (together with the dissipation floor).  ``escape_gap``:
+    an equilibrium (together with the dissipation floor); 0 switches both
+    convergence events off, so the run follows its orbit until it escapes,
+    blows up or reaches the horizon.  ``escape_gap``:
     minimum interior radial clearance above the upper equilibrium that
     certifies escape.  ``dissipation``: the floor below which a sample's
     curvature dissipation integral sum (kappa - A)^2 ds, the rate at
@@ -259,8 +261,9 @@ class ClassifierTolerances:
 
     def __post_init__(self):
         # written so that a NaN fails the test
-        if not all(v > 0 for v in (self.converge, self.escape_gap, self.dissipation, self.t_max)):
-            raise ValueError("all tolerances must be positive")
+        positive = (self.escape_gap, self.dissipation, self.t_max)
+        if not (self.converge >= 0 and all(v > 0 for v in positive)):
+            raise ValueError("all tolerances must be positive (converge may be 0)")
 
 
 class EventKind(Enum):
@@ -937,7 +940,8 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
                                ``tols.escape_gap`` (polar chart),
     * ``ConvergedLower/Upper`` -- sup-distance to the equilibrium below
                                ``tols.converge`` with dissipation below
-                               ``tols.dissipation``,
+                               ``tols.dissipation`` (never, for
+                               ``tols.converge == 0``: an orbit run),
     * ``HorizonReached``    -- the time horizon min(ctl.t_max, tols.t_max),
     * ``Blowup``            -- a state out of range, a polar radius at
                                the origin, or a graph too steep to go on

@@ -24,13 +24,7 @@ import numpy as np
 
 from . import evolvers
 from .analysis import SgnWord, gap_profile, intersection_audit, subword
-from .classifier import (
-    Category,
-    bisect_sigma_star,
-    classify,
-    closest_upper_approach,
-    critical_run,
-)
+from .classifier import Category, bisect_sigma_star, classify, closest_upper_approach
 from .evolvers import (
     ClassifierTolerances,
     StepControl,
@@ -131,16 +125,16 @@ class VerificationContext:
 
     @cached_property
     def near_critical_run(self):
-        return critical_run(self.family(self.refined_bracket.midpoint), self.ctl, self.tols)
+        """The refined bracket's midpoint, run past the convergence proxies."""
+        fam = self.family(self.refined_bracket.midpoint)
+        return evolve(fam, self.ctl, replace(self.tols, converge=0.0))
 
     @cached_property
     def identity_run(self):
-        """Long sigma=0.1 run with fine sampling for the energy identity."""
+        """sigma=0.1 to t=5.2, sampled finely and past the convergence
+        proxies, for the energy identity."""
         ctl = replace(self.ctl, sample_interval=0.02)
-        tols = ClassifierTolerances(
-            converge=1e-9, escape_gap=1e-3, dissipation=1e-12, t_max=5.2
-        )
-        return evolve(self.family(0.1), ctl, tols)
+        return evolve(self.family(0.1), ctl, replace(self.tols, converge=0.0, t_max=5.2))
 
     @cached_property
     def comparison_runs(self):
@@ -474,17 +468,21 @@ def run_one(number: int, ctx: VerificationContext) -> CriterionResult:
 
 def run_all(numbers=None, quiet: bool = False):
     """Run each selected acceptance criterion once, in order (all for
-    ``None``; an empty selection raises ``ValueError``).
+    ``None``; an empty selection, or one naming no criterion, raises
+    ``ValueError`` before any run).
 
     Returns the list of :class:`CriterionResult`; prints one line per
     criterion unless ``quiet``.
     """
-    selected = sorted(CRITERIA if numbers is None else set(numbers))
+    selected = CRITERIA if numbers is None else set(numbers)
     if not selected:
         raise ValueError("no acceptance criterion selected")
+    bad = sorted((n for n in selected if n not in CRITERIA), key=repr)
+    if bad:
+        raise ValueError(f"unknown criteria {bad}; valid are {sorted(CRITERIA)}")
     ctx = VerificationContext()
     results = []
-    for n in selected:
+    for n in sorted(selected):
         res = run_one(n, ctx)
         results.append(res)
         if not quiet:

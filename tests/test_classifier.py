@@ -20,7 +20,6 @@ from extremalflow.classifier import (
     bisect_sigma_star,
     classify,
     closest_upper_approach,
-    critical_run,
     sweep,
     upper_dwell_time,
 )
@@ -209,7 +208,8 @@ def test_bisect_and_near_critical_shadowing(template, ctl, tols):
 
     approaches, dwells = [], []
     for br in (br1, br2, br3):
-        traj = critical_run(template.with_sigma(br.midpoint), ctl, tols)
+        # an orbit run: past the convergence proxies, on to escape or the horizon
+        traj = evolvers.evolve(template.with_sigma(br.midpoint), ctl, replace(tols, converge=0.0))
         approaches.append(closest_upper_approach(traj))
         dwells.append(upper_dwell_time(traj, 10 * tols.converge))
     assert approaches[0] > approaches[1] > approaches[2]

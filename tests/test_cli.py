@@ -261,6 +261,17 @@ def test_run_all_selects_each_criterion_once(monkeypatch):
     assert ran == sorted(verification.CRITERIA)
 
 
+def test_run_all_rejects_unknown_criteria_before_running(monkeypatch):
+    # the selection is checked before the context and its runs are built
+    def build():
+        raise AssertionError("VerificationContext built")
+
+    monkeypatch.setattr(verification, "VerificationContext", build)
+    for numbers in ([12], ["10"], [10, 0]):
+        with pytest.raises(ValueError, match=r"unknown criteria .*valid are \[1, 2,"):
+            verification.run_all(numbers, quiet=True)
+
+
 def test_verify_rejects_bad_selection(capsys):
     assert main(["verify", "--only", "12"]) == 1
     assert main(["verify", "--only", "abc"]) == 1

@@ -96,6 +96,13 @@ def test_classifier_tolerances_reject_nan(field):
         ClassifierTolerances(**{field: float("nan")})
 
 
+def test_classifier_tolerances_accept_converge_zero():
+    # converge = 0 is an orbit run: no sup-distance lies below it
+    assert ClassifierTolerances(converge=0.0).converge == 0.0
+    with pytest.raises(ValueError):
+        ClassifierTolerances(converge=-1e-3)
+
+
 # --- single steps -------------------------------------------------------------------
 
 
@@ -567,6 +574,31 @@ def test_batch_without_history_keeps_the_last_sample():
         last = replace(full, diagnostics=full.diagnostics[-1:], snapshots=full.snapshots[-1:])
         recorded = replace(lean, max_step_energy_increase=full.max_step_energy_increase)
         _assert_same_run(recorded, last)
+
+
+def test_orbit_runs_follow_the_certified_runs_to_escape_or_the_horizon():
+    # converge = 0 switches the convergence events off: each member runs on
+    # past its certified event, bitwise the same up to it, and ends only
+    # on Escaped (the one certificate left), Blowup or the horizon
+    sigmas = [0.1, 2.9, 3.2767, 10.0]
+    fams = [InitialFamily(_BATCH_PARAMS, sigma=s) for s in sigmas]
+    certified = dict(evolvers.evolve_batch(fams, _BATCH_CTL, _BATCH_TOLS))
+    orbits = dict(evolvers.evolve_batch(fams, _BATCH_CTL, replace(_BATCH_TOLS, converge=0.0)))
+    for i, s in enumerate(sigmas):
+        cert, orbit = certified[i], orbits[i]
+        k = len(cert.diagnostics)
+        assert [repr(d) for d in orbit.diagnostics[:k]] == [repr(d) for d in cert.diagnostics]
+        assert [(t, c.points.tobytes()) for t, c in orbit.snapshots[:k]] == [
+            (t, c.points.tobytes()) for t, c in cert.snapshots
+        ]
+        if s == 10.0:
+            assert orbit.event == cert.event and orbit.event.kind is EventKind.ESCAPED
+        else:
+            assert orbit.event.kind is EventKind.HORIZON_REACHED
+            assert orbit.event.t == pytest.approx(6.0, abs=1e-9)
+    # 3.2767 lies just above grid 101's sigma* and has not escaped by t = 6
+    kinds = [certified[i].event.kind.value for i in range(len(sigmas))]
+    assert kinds == ["ConvergedLower", "ConvergedLower", "HorizonReached", "Escaped"]
 
 
 def test_batch_paths_are_reached(monkeypatch):
