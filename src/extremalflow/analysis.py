@@ -184,6 +184,23 @@ def gap_profile(c1: SampledCurve, c2: SampledCurve) -> GapProfile:
 _COINCIDE_EPS = 1e-12
 
 
+def _median(v: np.ndarray) -> float:
+    """``np.median`` of a 1-d float array, bitwise, by one ``np.partition``.
+
+    The same partition as numpy's (the middle index or indices and the
+    last, where any NaN sorts) and the same mean of the middle entries,
+    ``np.add.reduce`` over their count, without the dispatch of
+    ``np.median``.
+    """
+    n = len(v)
+    half = n // 2
+    part = np.partition(v, [half, -1] if n % 2 else [half - 1, half, -1])
+    if part[-1] != part[-1]:  # NaN
+        return float(part[-1])
+    mid = part[half : half + 1] if n % 2 else part[half - 1 : half + 1]
+    return float(np.add.reduce(mid) / len(mid))
+
+
 def _tolerance(ds: np.ndarray, h: float, gap: np.ndarray, tol: float | None) -> float:
     """Indistinguishability threshold: ``tol``, or by default 3 x typical
     spacing x typical slope.
@@ -202,7 +219,7 @@ def _tolerance(ds: np.ndarray, h: float, gap: np.ndarray, tol: float | None) -> 
             raise ValueError(f"tol must be at least 0, got {tol!r}")
         return tol
     slopes = np.abs(np.diff(gap)) / ds
-    return float(3.0 * h * np.median(slopes) + 1e-14)
+    return float(3.0 * h * _median(slopes) + 1e-14)
 
 
 def word_from_gap(param: np.ndarray, gap: np.ndarray, tol: float | None = None) -> SgnWord:
@@ -221,7 +238,7 @@ def word_from_gap(param: np.ndarray, gap: np.ndarray, tol: float | None = None) 
         raise ValueError("need matching 1-d param/gap arrays with >= 3 samples")
 
     ds = np.diff(param)
-    h = float(np.median(ds))
+    h = _median(ds)
     tol_val = _tolerance(ds, h, gap, tol)
 
     cls = np.zeros(len(gap), dtype=int)
@@ -295,7 +312,7 @@ def semi_order(c1: SampledCurve, c2: SampledCurve, tol: float | None = None) -> 
     """
     gp = gap_profile(c1, c2)
     ds = np.diff(gp.param)
-    tol_val = _tolerance(ds, np.median(ds), gp.gap, tol)
+    tol_val = _tolerance(ds, _median(ds), gp.gap, tol)
     above = gp.gap > tol_val
     below = gp.gap < -tol_val
     if np.all(above):

@@ -13,13 +13,15 @@ Explicit Euler steps by cfl h^2 min(M), the parabolic bound of each row.
 The semi-implicit variant, for long runs where that bound is the
 bottleneck, is linearly implicit Euler (diffusion implicit with frozen
 coefficients, forcing explicit; Ascher, Ruuth and Wetton 1995)
-extrapolated to second order from one full and two half steps, whose
-difference sets an adaptive step size per row (Hairer and Wanner,
-Solving ODEs II, IV.9): each row takes the step its error tolerance
-allows, at most ``ctl.sample_interval``.  A chart object supplies what
-differs: spacing and pinned value, M, F and the speed factor, the
-guards, the sampled points and the diagnostics.  Shared
-stencils make the discrete equilibria coincide.  The stencil is the
+extrapolated to third order from one full, two half and three third
+steps (the harmonic sequence 1, 2, 3; Deuflhard 1985, SIAM Rev. 27:505),
+whose last two tableau entries set an adaptive step size per row (Hairer
+and Wanner, Solving ODEs II, IV.9): each row takes the step its error
+tolerance allows, at most ``ctl.sample_interval``, with the exponent
+1/3 of a third-order step.  A chart object supplies what differs:
+spacing and pinned value, M, F and the speed factor, the guards, the
+sampled points and the diagnostics.  Shared stencils make the discrete
+equilibria coincide.  The stencil is the
 package's one curvature: the right-hand side is V sqrt(M) / f, with V = A - kappa the
 normal velocity and f = 1 (graph) or rho (polar); the curvature
 functions and each sample's dissipation sum V^2 ds and endpoint
@@ -35,9 +37,10 @@ of the points the chart's ``sample`` returns, evaluated per chunk: the
 stepped states are copied into a history buffer of the chart and
 ``energy`` runs once on all buffered rows every ``ENERGY_CHUNK`` steps
 and whenever the batch is packed.
-The tridiagonal systems of a semi-implicit step (a full and a half step
-per row, then a second half step per row) go to LAPACK ``gtsv`` as
-block-diagonal systems with zero coupling entries.  It is the package's
+The tridiagonal systems of a semi-implicit step go to LAPACK ``gtsv`` in
+three calls, as block-diagonal systems with zero coupling entries: the
+first substep of each sequence for every row, then the second H/2 and
+H/3 substeps, then the last H/3 substep.  It is the package's
 one compiled routine outside numpy, taken from scipy's LAPACK extension
 module by ``_load_dgtsv`` without importing scipy.  The matrix is
 diagonally dominant, so gtsv never swaps rows, a zero multiplier adds
@@ -73,13 +76,12 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
-from math import inf, sqrt
+from math import inf
 
 import numpy as np
 
 from .analysis import (
     Unresolvable,
-    endpoint_tangents,
     energy,
     word_from_gap,
 )
@@ -89,6 +91,7 @@ from .geometry import (
     PolarProfile,
     ProblemParams,
     SampledCurve,
+    _end_tangent,
     _length_and_area,
     _polar_angles,
     _polar_xy,
@@ -139,7 +142,7 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 # The loop's constant operands are 0-d arrays (the charts' as well): a
 # ufunc takes one in about 0.3 us and a Python float in about 0.45 us,
 # for the same arithmetic.
-_HALF, _ONE, _TWO = np.array(0.5), np.array(1.0), np.array(2.0)
+_HALF, _ONE, _TWO, _THREE = np.array(0.5), np.array(1.0), np.array(2.0), np.array(3.0)
 _NO_ROWS = np.empty((0, 0))
 
 
@@ -663,6 +666,24 @@ def _implicit_solve(r, b, d, dl, du, m):
     return b
 
 
+def _euler_substep(H, invh2, M, F, inner, R, B, pins, pin, work):
+    """Linearly implicit Euler substeps of sizes ``H`` (a column, one per
+    row) from states with interior ``inner``, metric M and forcing F.
+
+    R = H / (h^2 M) and B = inner + H F, with the pinned values moved into
+    the first and last entry of each system (``pins`` lists its (b, r)
+    row pairs), are solved into B by one gtsv call with the work buffers
+    ``work`` = (d, dl, du, m) of ``_implicit_solve``; B may be F itself.
+    """
+    np.divide(H * invh2, M, out=R)
+    np.multiply(H, F, out=B)
+    B += inner
+    for b, r in pins:
+        b[0] += r[0] * pin
+        b[-1] += r[-1] * pin
+    _implicit_solve(R.reshape(-1), B.reshape(-1), *work)
+
+
 def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
     """Advance each row of ``S`` in place from t[i] until t_end[i].
 
@@ -694,24 +715,29 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
 
     The semi-implicit step Phi_H treats lap / M implicitly with M frozen
     and moves the pinned values to the right-hand side.  It is
-    extrapolated: from the same state a row takes Phi_H once and Phi_H/2
-    twice and moves to 2 Phi_H/2(Phi_H/2) - Phi_H, second order in H.
-    The difference of the two, max |Phi_H/2(Phi_H/2) - Phi_H|, estimates
+    extrapolated on the harmonic sequence 1, 2, 3: from the same state a
+    row takes Phi_H once (T11), Phi_H/2 twice (T21) and Phi_H/3 three
+    times (T31); Aitken-Neville gives T22 = 2 T21 - T11, T32 = 3 T31 -
+    2 T21 and T33 = T32 + (T32 - T22) / 2, third order in H, and the row
+    moves to T33.  The last correction, max |T32 - T22| / 2, estimates
     the error of the step; a step whose estimate exceeds STEP_TOL / A is
     rejected and retried from the same state.  Either way the next trial
-    step is H * clip(0.9 sqrt(tol / err), 0.2, 4); an accepted step cut
+    step is H * clip(0.9 (tol / err)^(1/3), 0.2, 4); an accepted step cut
     short by ``ctl.sample_interval`` or the row's end does not shrink the
-    trial step.
-    Phi_H and the first Phi_H/2 share M and F, so their systems and those
-    of every row go to one block-diagonal gtsv call.  Stepping buffers are
-    allocated each time the batch is packed; the history buffer grows
-    only when more rows are needed.
+    trial step.  The first substeps of all three sequences share M and F,
+    so their systems and those of every row go to one block-diagonal gtsv
+    call; the second H/2 and H/3 substeps are one stacked (2k, n)
+    right-hand side and one gtsv call, and the last H/3 substep a third.
+    The step that reaches a row's end sets its time to the end itself,
+    not to the sum t + dt, so sample times stay on their grid.  Stepping
+    buffers are allocated each time the batch is packed; the history
+    buffer grows only when more rows are needed.
     """
     K, n = S.shape
     m, pin = n - 2, chart.pin
     explicit = ctl.scheme == "explicit"
     dt_stab, dt_max = ctl.cfl * chart.h**2, ctl.sample_interval
-    invh2, dt1, dt2 = float(chart.invh2), np.empty(()), np.empty(())
+    invh2, dt1 = float(chart.invh2), np.empty(())
     tol = STEP_TOL / chart.A
     if dts is None:
         dts = [ctl.dt] * K
@@ -730,19 +756,29 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
         lo, inner, hi = X[:, :-2], X[:, 1:-1], X[:, 2:]  # views: they follow in-place updates
         d1, M, F, rhs, W = np.empty((5, nk, m))
         if not explicit:
-            # R = dt / (h^2 M) and B, the right-hand sides, of Phi_H ([0]) and
-            # the first Phi_H/2 ([1]) of every row: one solve; Z holds the
-            # states after the first half step, pins included
-            R, B = np.empty((2, 2, nk, m))
-            Z = X.copy()
+            # Hs: the substeps H, H/2 and H/3 of every row ([0], [1], [2]);
+            # R and B, the coefficients and right-hand sides of the first
+            # substep of each sequence: one solve.  Z holds the states
+            # after the first H/2 substep (rows [:nk]) and after the first
+            # H/3 substep (rows [nk:]), pins included; G their next
+            # substeps, one solve, and then the last H/3 substep in G3
+            Hs = np.empty((3, nk, 1))
+            H23 = Hs[1:].reshape(2 * nk, 1)
+            R, B = np.empty((2, 3, nk, m))
+            Z = np.concatenate((X, X))
             zlo, zinner, zhi = Z[:, :-2], Z[:, 1:-1], Z[:, 2:]
-            N = nk * m
-            d, dl, du = np.empty(2 * N), np.empty(2 * N - 1), np.empty(2 * N - 1)
-            both = R.reshape(-1), B.reshape(-1), d, dl, du, m
-            second = R[0].reshape(-1), F.reshape(-1), d[:N], dl[: N - 1], du[: N - 1], m
+            d1z, Mz, G, rhsz = np.empty((4, 2 * nk, m))
+            z3, M3, G3 = zinner[nk:], Mz[nk:], G[nk:]
+            last = zlo[nk:], z3, zhi[nk:], chart, d1z[nk:], M3, G3, rhsz[nk:]
+            R2, N = R[:2].reshape(2 * nk, m), nk * m
+            d, dl, du = np.empty(3 * N), np.empty(3 * N - 1), np.empty(3 * N - 1)
+            first = d, dl, du, m
+            second = d[: 2 * N], dl[: 2 * N - 1], du[: 2 * N - 1], m
+            third = d[:N], dl[: N - 1], du[: N - 1], m
             # row by row: a ufunc on strided end columns costs more than a few rows
             pinned = [(b[i], r[i]) for b, r in zip(B, R) for i in range(nk)]
-            pinned_second = [(F[i], R[0, i]) for i in range(nk)]
+            pinned_second = [(G[i], R2[i]) for i in range(2 * nk)]
+            pinned_third = [(G[nk + i], R[2, i]) for i in range(nk)]
         while True:
             _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs)
             leaving = chart.guard(X, d1, k)
@@ -761,65 +797,66 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
             if leaving:
                 break
             k += 1
-            if nk == 1:  # a 0-d array, cheaper than a float or a (1, 1) broadcast
-                dt1[()] = steps[0]
-                dt = dt1
-            else:
-                dt = np.array(steps)[:, None]
             done = rejected = None
             if explicit:
+                if nk == 1:  # a 0-d array, cheaper than a float or a (1, 1) broadcast
+                    dt1[()] = steps[0]
+                    dt = dt1
+                else:
+                    dt = np.array(steps)[:, None]
                 rhs *= dt
                 inner += rhs
-                for i in range(nk):
-                    times[i] = ti = times[i] + steps[i]
-                    if not ti < stops[i]:
-                        done = done or {}
-                        done[i] = "ok"
             else:
-                half = np.multiply(dt, _HALF, out=dt2 if nk == 1 else None)
-                np.divide(dt * invh2, M, out=R[0])
-                np.multiply(R[0], _HALF, out=R[1])
-                np.multiply(F, dt, out=B[0])  # the right-hand sides inner + dt * F
-                B[0] += inner
-                np.multiply(F, half, out=B[1])
-                B[1] += inner
-                for b, r in pinned:
-                    b[0] += r[0] * pin
-                    b[-1] += r[-1] * pin
-                _implicit_solve(*both)  # B[0] = Phi_H, B[1] = Phi_H/2
-                zinner[...] = B[1]
-                _flow_rhs(zlo, zinner, zhi, chart, d1, M, F, rhs)
-                np.divide(half * invh2, M, out=R[0])
-                F *= half
-                F += zinner
-                for b, r in pinned_second:
-                    b[0] += r[0] * pin
-                    b[-1] += r[-1] * pin
-                _implicit_solve(*second)  # F = Phi_H/2(Phi_H/2)
-                np.subtract(F, B[0], out=W)
+                Hs[0, :, 0] = steps
+                np.multiply(Hs[0], _HALF, out=Hs[1])
+                np.divide(Hs[0], _THREE, out=Hs[2])
+                # the first substeps share M and F: B = Phi_H, Phi_H/2, Phi_H/3
+                _euler_substep(Hs, invh2, M, F, inner, R, B, pinned, pin, first)
+                zinner[...] = B[1:].reshape(2 * nk, m)
+                _flow_rhs(zlo, zinner, zhi, chart, d1z, Mz, G, rhsz)
+                # G = Phi_H/2(Phi_H/2), Phi_H/3(Phi_H/3)
+                _euler_substep(H23, invh2, Mz, G, zinner, R2, G, pinned_second, pin, second)
+                z3[...] = G3
+                _flow_rhs(*last)
+                # G3 = Phi_H/3 three times
+                _euler_substep(Hs[2], invh2, M3, G3, z3, R[2], G3, pinned_third, pin, third)
+                # Aitken-Neville on the harmonic sequence 1, 2, 3, in place:
+                # T22 = 2 T21 - T11, T32 = 3 T31 - 2 T21, T33 = T32 + (T32 - T22) / 2
+                T11, T21, T31 = B[0], G[:nk], G3
+                np.subtract(T21, T11, out=T11)
+                T11 += T21  # T22
+                np.subtract(T31, T21, out=T21)
+                T21 *= _TWO
+                T31 += T21  # T32
+                np.subtract(T31, T11, out=W)
+                W *= _HALF  # T33 - T32, the error estimate
                 errs = _max(np.abs(W, out=rhs), 1).tolist()
+                T31 += W  # T33
                 for i in range(nk):
                     err, dt_i = errs[i], steps[i]
                     # a NaN estimate passes: its row is blown before its next step
                     if err > tol:  # retried from the same state
-                        trial[i] = dt_i * max(0.2, 0.9 * sqrt(tol / err))
+                        trial[i] = dt_i * max(0.2, 0.9 * (tol / err) ** (1 / 3))
                         rejected = rejected or set()
                         rejected.add(i)
                         continue
-                    grown = dt_i * (min(4.0, 0.9 * sqrt(tol / err)) if err > 0.0 else 4.0)
+                    grown = dt_i * (min(4.0, 0.9 * (tol / err) ** (1 / 3)) if err > 0.0 else 4.0)
                     if grown > trial[i] or not dt_i < trial[i]:  # a step cut short shrinks nothing
                         trial[i] = grown
-                    times[i] = ti = times[i] + dt_i
-                    if not ti < stops[i]:
-                        done = done or {}
-                        done[i] = "ok"
-                F += W  # 2 Phi_H/2(Phi_H/2) - Phi_H
                 if rejected is None:
-                    inner[...] = F
+                    inner[...] = T31
                 else:
                     for i in range(nk):
                         if i not in rejected:
-                            inner[i] = F[i]
+                            inner[i] = T31[i]
+            for i in range(nk):
+                if rejected is None or i not in rejected:
+                    ti = times[i] + steps[i]
+                    if not ti < stops[i]:  # the step that reaches the end lands on it
+                        ti = ends[i]
+                        done = done or {}
+                        done[i] = "ok"
+                    times[i] = ti
             if tracked is not None and (rejected is None or len(rejected) < nk):
                 hist[j] = X
                 if rejected is not None:
@@ -959,11 +996,12 @@ class _Run:
     it off once, to the polar chart."""
 
     __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "dt", "tracker",
-                 "history", "snapshots", "diagnostics", "event")
+                 "history", "samples", "snapshots", "diagnostics", "event")
 
     def __init__(self, index, fam, graph, s, dt, history):
         self.index, self.fam, self.chart, self.s = index, fam, graph, s
         self.t, self.dt, self.tracker, self.history = 0.0, dt, _EnergyTracker(), history
+        self.samples = 0
         self.snapshots, self.diagnostics, self.event = [], [], None
 
     def sample(self, ctl, tols, horizon):
@@ -977,8 +1015,10 @@ class _Run:
         self.diagnostics.append(rec)
         self.snapshots.append((self.t, curve))
         self.event = _decide(rec, min_gap_up, tols, horizon)
+        self.samples += 1
         if self.event is None:
-            self.t_next = min(self.t + ctl.sample_interval, horizon)
+            # on the sample grid: a sum of intervals would drift off it
+            self.t_next = min(self.samples * ctl.sample_interval, horizon)
 
     def trajectory(self) -> Trajectory:
         return Trajectory(
@@ -1075,7 +1115,7 @@ def _diagnose(chart, s, curve: SampledCurve, t: float):
         dissipation=float(_sum(V * V * ds)),
         sgn_upper=letters,
         kappa_dev_P=abs(float(V[chart.near_P])),
-        tangent_y_P=float(endpoint_tangents(curve).at_P[1]),
+        tangent_y_P=float(_end_tangent(*curve.points[:3])[1]),  # endpoint_tangents' at_P
         dist_lower=dist_lower,
         dist_upper=dist_upper,
     )

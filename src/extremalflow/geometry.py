@@ -327,12 +327,17 @@ def enclosed_area(c: SampledCurve) -> float:
     return S
 
 
-def _lagrange_derivative_at_zero(s1: float, s2: float, p0, p1, p2):
-    """Derivative at parameter 0 of the quadratic through (0,p0),(s1,p1),(s2,p2)."""
+def _end_tangent(p0, p1, p2) -> np.ndarray:
+    """Unit tangent leaving p0 along the polyline p0, p1, p2: the derivative
+    at p0 of the quadratic through (0, p0), (s1, p1), (s2, p2), with s1 and
+    s2 the chord lengths from p0."""
+    s1 = np.hypot(*(p1 - p0))
+    s2 = s1 + np.hypot(*(p2 - p1))
     c0 = -(s1 + s2) / (s1 * s2)
     c1 = s2 / (s1 * (s2 - s1))
     c2 = -s1 / (s2 * (s2 - s1))
-    return c0 * p0 + c1 * p1 + c2 * p2
+    v = c0 * p0 + c1 * p1 + c2 * p2
+    return v / np.hypot(v[0], v[1])
 
 
 def endpoint_tangents(c: SampledCurve) -> EndpointTangents:
@@ -340,16 +345,12 @@ def endpoint_tangents(c: SampledCurve) -> EndpointTangents:
 
     Both tangents point in the P -> Q direction: ``at_P`` leaves P along
     the curve, ``at_Q`` arrives at Q.  The y-component of ``at_P`` is the
-    ``tangent_y_P`` column of the evolvers' ``diagnostics.csv``.
+    ``tangent_y_P`` column of the evolvers' ``diagnostics.csv``, which
+    they take from ``_end_tangent`` of the first three points.
     """
     pts = c.points
     if len(pts) < 3:
         raise ValueError("need at least 3 points for endpoint tangents")
-    seg = np.hypot(*np.diff(pts, axis=0).T)
-    s1, s2 = seg[0], seg[0] + seg[1]
-    vP = _lagrange_derivative_at_zero(s1, s2, pts[0], pts[1], pts[2])
-    s1b, s2b = seg[-1], seg[-1] + seg[-2]
-    vQ = -_lagrange_derivative_at_zero(s1b, s2b, pts[-1], pts[-2], pts[-3])
-    vP = vP / np.hypot(vP[0], vP[1])
-    vQ = vQ / np.hypot(vQ[0], vQ[1])
-    return EndpointTangents(at_P=vP, at_Q=vQ)
+    return EndpointTangents(
+        at_P=_end_tangent(pts[0], pts[1], pts[2]), at_Q=-_end_tangent(pts[-1], pts[-2], pts[-3])
+    )

@@ -1,7 +1,10 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extremalflow import (
     GraphProfile,
@@ -21,7 +24,7 @@ from extremalflow import (
     sgn_word,
     subword,
 )
-from extremalflow.analysis import _heights_at, gap_profile, word_from_gap
+from extremalflow.analysis import _heights_at, _median, gap_profile, word_from_gap
 from extremalflow.evolvers import StepControl, advance_graph
 
 from conftest import diagnose, pinned_curve
@@ -210,6 +213,33 @@ def test_intersection_audit():
     assert intersection_audit(["-+-", None, "-"])
     assert not intersection_audit(["-", "-+-"])  # count increased
     assert not intersection_audit(["+-", "-+"])  # not a subword
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(derandomize=True, max_examples=300)
+@example(values=[0.0, -0.0])
+@example(values=[-0.0, 0.0, -0.0])
+@example(values=[1.0, float("nan"), 2.0])
+@example(values=[float("inf"), float("-inf")])
+@example(values=[3.0, 3.0, 1.0, 3.0])
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, float("nan")]),  # ties
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_median_is_numpy_median_bitwise(values):
+    # odd and even lengths, ties, signed zeros, infinities and NaN
+    v = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf - inf in the mean
+        assert _bits(_median(v)) == _bits(float(np.median(v)))
 
 
 def test_word_validation():

@@ -19,6 +19,7 @@ from extremalflow import (
     StepControl,
     advance_graph,
     advance_polar,
+    endpoint_tangents,
     energy,
     evolve,
     gamma_lower,
@@ -58,12 +59,13 @@ def test_step_control_validation(params):
 
 
 def test_step_rule_sets_the_step_counts(monkeypatch, params, explicit, semi):
-    # _flow_rhs runs once per explicit step and twice per semi-implicit one.
+    # _flow_rhs runs once per explicit step and three times per semi-implicit one.
     # The explicit step is cfl * h^2 * min(M): cfl * dtheta^2 * min(M) on
     # the polar upper arc, and exactly cfl * dx^2 on the graph of the lower
     # arc, whose apex has M = 1.  The semi-implicit step is error-controlled
-    # and at most sample_interval = 0.1; without that bound the hold takes
-    # fewer, larger steps.
+    # and at most sample_interval = 0.1: on the held equilibrium it grows 4x
+    # per step from dt = 0.1 dx to that bound, 4 steps to t = 0.0425 and 50
+    # more to t = 5, whatever the order of the extrapolation.
     calls = []
     flow_rhs = evolvers._flow_rhs
 
@@ -76,7 +78,7 @@ def test_step_rule_sets_the_step_counts(monkeypatch, params, explicit, semi):
     def steps(advance, profile, ctl, t_end):
         calls.clear()
         advance(profile, ctl, t_end)
-        return len(calls) // (1 if ctl is explicit else 2)
+        return len(calls) // (1 if ctl is explicit else 3)
 
     assert steps(advance_polar, gamma_upper(params), explicit, 0.1) == 1921
     assert steps(advance_graph, gamma_lower(params), explicit, 0.01) == 2000
@@ -327,6 +329,29 @@ def test_held_equilibrium_diagnoses_as_exact(params, semi, equilibrium, advance)
     assert rec.kappa_dev_P < 1e-9
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        gamma_lower,
+        lambda p: initial_curve(InitialFamily(p, sigma=2.9)),
+        lambda p: initial_curve(InitialFamily(p, sigma=-1.0, phi="parabola")),
+        gamma_lower_polar,
+        gamma_upper,
+        lambda p: switch_chart(graph_to_sampled(initial_curve(InitialFamily(p, sigma=10.0))), p),
+    ],
+    ids=[
+        "lower-graph", "family-graph", "negative-graph", "lower-polar", "upper-polar", "family-polar"
+    ],
+)
+def test_diagnosed_tangent_is_the_endpoint_tangent(params, profile):
+    # a sample's tangent_y_P comes from its first three points alone, bitwise
+    # endpoint_tangents' at_P
+    prof = profile(params)
+    curve = graph_to_sampled(prof) if isinstance(prof, GraphProfile) else polar_to_sampled(prof)
+    want = endpoint_tangents(curve).at_P[1]
+    assert diagnose(prof).tangent_y_P.hex() == float(want).hex()
+
+
 def test_grid_convergence_order():
     # halving dx changes the t = 1 solution at second order
     sols = {}
@@ -339,11 +364,12 @@ def test_grid_convergence_order():
     assert np.log2(e1 / e2) >= 1.7
 
 
-def test_extrapolated_step_is_second_order(monkeypatch):
-    # one semi-implicit step of size H against 64 steps of H / 64 from a
-    # smooth state: the local error of the extrapolated step falls about 8x
-    # per halving of H (about 4x without the extrapolation).  H is below
-    # dx^2, where the stiff diffusion does not yet reduce the order.
+def _one_step_errors(monkeypatch):
+    """Errors of one semi-implicit step of size H = 4e-6, 2e-6 and 1e-6 on
+    grid 101 from the sigma = 0.1 family curve, against 64 steps of H / 64.
+
+    H is below dx^2, where the stiff diffusion does not yet reduce the order.
+    """
     monkeypatch.setattr(evolvers, "STEP_TOL", np.inf)  # accept every step
     p = ProblemParams(A=1.0, a=0.5, grid_n=101)
     ctl = StepControl.for_params(p, scheme="semi_implicit")
@@ -353,7 +379,21 @@ def test_extrapolated_step_is_second_order(monkeypatch):
         one = advance_graph(g, replace(ctl, dt=H, sample_interval=H), H).u
         ref = advance_graph(g, replace(ctl, dt=H / 64, sample_interval=H / 64), H).u
         errs.append(np.max(np.abs(one - ref)))
+    return errs
+
+
+def test_extrapolated_step_is_second_order(monkeypatch):
+    # at least second order: the local error falls at least 6x per halving
+    # of H (about 4x for the bare linearly implicit Euler step)
+    errs = _one_step_errors(monkeypatch)
     assert errs[0] / errs[1] >= 6.0 and errs[1] / errs[2] >= 6.0
+
+
+def test_extrapolated_step_is_third_order(monkeypatch):
+    # the 1, 2, 3 tableau's local error falls about 16x per halving of H
+    # (13.7 and 14.8 here; about 8x for the second-order tableau)
+    errs = _one_step_errors(monkeypatch)
+    assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0
 
 
 # --- chart switching ------------------------------------------------------------------
@@ -595,7 +635,7 @@ def test_orbit_runs_follow_the_certified_runs_to_escape_or_the_horizon():
             assert orbit.event == cert.event and orbit.event.kind is EventKind.ESCAPED
         else:
             assert orbit.event.kind is EventKind.HORIZON_REACHED
-            assert orbit.event.t == pytest.approx(6.0, abs=1e-9)
+            assert orbit.event.t == 6.0
     # 3.2767 lies just above grid 101's sigma* and has not escaped by t = 6
     kinds = [certified[i].event.kind.value for i in range(len(sigmas))]
     assert kinds == ["ConvergedLower", "ConvergedLower", "HorizonReached", "Escaped"]
