@@ -185,16 +185,17 @@ _COINCIDE_EPS = 1e-12
 
 
 def _median(v: np.ndarray) -> float:
-    """``np.median`` of a 1-d float array, bitwise, by one ``np.partition``.
+    """``np.median`` of a 1-d float array, bitwise, by one partition.
 
     The same partition as numpy's (the middle index or indices and the
     last, where any NaN sorts) and the same mean of the middle entries,
     ``np.add.reduce`` over their count, without the dispatch of
-    ``np.median``.
+    ``np.median`` or ``np.partition``.
     """
     n = len(v)
     half = n // 2
-    part = np.partition(v, [half, -1] if n % 2 else [half - 1, half, -1])
+    part = v.copy()
+    part.partition([half, -1] if n % 2 else [half - 1, half, -1])
     if part[-1] != part[-1]:  # NaN
         return float(part[-1])
     mid = part[half : half + 1] if n % 2 else part[half - 1 : half + 1]
@@ -218,7 +219,7 @@ def _tolerance(ds: np.ndarray, h: float, gap: np.ndarray, tol: float | None) -> 
         if not tol >= 0.0:  # written so that a NaN fails the test
             raise ValueError(f"tol must be at least 0, got {tol!r}")
         return tol
-    slopes = np.abs(np.diff(gap)) / ds
+    slopes = np.abs(np.subtract(gap[1:], gap[:-1])) / ds
     return float(3.0 * h * _median(slopes) + 1e-14)
 
 
@@ -237,19 +238,17 @@ def word_from_gap(param: np.ndarray, gap: np.ndarray, tol: float | None = None) 
     if param.ndim != 1 or param.shape != gap.shape or len(param) < 3:
         raise ValueError("need matching 1-d param/gap arrays with >= 3 samples")
 
-    ds = np.diff(param)
+    ds = np.subtract(param[1:], param[:-1])
     h = _median(ds)
     tol_val = _tolerance(ds, h, gap, tol)
 
-    cls = np.zeros(len(gap), dtype=int)
-    cls[gap > tol_val] = 1
-    cls[gap < -tol_val] = -1
+    # 1 above the tolerance, -1 below minus it, 0 within (the tolerance is
+    # not negative, so never both)
+    cls = np.subtract(gap > tol_val, gap < -tol_val, dtype=np.int8)
 
-    # maximal runs of equal class
-    change = np.flatnonzero(np.diff(cls)) + 1
-    starts = np.concatenate([[0], change])
-    ends = np.concatenate([change, [len(cls)]])
-    runs = [(cls[s], s, e) for s, e in zip(starts, ends)]
+    # maximal runs of equal class: (class, start, end)
+    bounds = [0, *(np.not_equal(cls[1:], cls[:-1]).nonzero()[0] + 1).tolist(), len(cls)]
+    runs = list(zip(cls[bounds[:-1]].tolist(), bounds[:-1], bounds[1:]))
 
     # contact zones touching an endpoint belong to the endpoint intersection
     if runs and runs[0][0] == 0:
@@ -262,7 +261,7 @@ def word_from_gap(param: np.ndarray, gap: np.ndarray, tol: float | None = None) 
         if sign == 0:
             seg = np.abs(gap[s:e])
             extent = param[e - 1] - param[s]
-            if np.max(seg) <= _COINCIDE_EPS and extent > coincide_len:
+            if np.maximum.reduce(seg) <= _COINCIDE_EPS and extent > coincide_len:
                 raise Unresolvable("curves coincide over a sub-arc; count ill-defined")
 
     letters = "".join("+" if sign > 0 else "-" for sign, _, _ in runs if sign != 0)

@@ -85,12 +85,13 @@ class RunConfig:
 
     def sigma_list(self):
         raw = self.sigmas.strip()
-        if not raw:
-            raise ConfigError("sweep needs 'sigmas', e.g. sigmas = -1,0,0.1")
         try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
+            sigmas = [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad sigmas list: {raw!r}") from exc
+        if not sigmas:
+            raise ConfigError(f"sweep needs amplitudes in 'sigmas' (e.g. -1,0,0.1), got {raw!r}")
+        return sigmas
 
     def bisect_hi_value(self) -> float:
         raw = str(self.bisect_hi).strip()

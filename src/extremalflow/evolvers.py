@@ -30,13 +30,14 @@ deviation |V| read V.
 The loop advances a batch: a (K, n) state, one row per member, each row
 with its own time, step size, step count and energy tracker; a row may
 reject a step while the others accept theirs.  A row that reaches its
-end idles outside the batch, which is packed to the rows still stepping,
-so every numpy call is shared by all members in step.
+end is sampled there, in the loop, and goes on to its next end or leaves
+the batch; the batch is then packed to the rows still stepping, so every
+numpy call is shared by all members in step.
 Each accepted step's energy E = L - A*S is bitwise ``analysis.energy``
 of the points the chart's ``sample`` returns, evaluated per chunk: the
 stepped states are copied into a history buffer of the chart and
 ``energy`` runs once on all buffered rows every ``ENERGY_CHUNK`` steps
-and whenever the batch is packed.
+and when a row leaves.
 The tridiagonal systems of a semi-implicit step go to LAPACK ``gtsv`` in
 three calls, as block-diagonal systems with zero coupling entries: the
 first substep of each sequence for every row, then the second H/2 and
@@ -60,11 +61,16 @@ above the axis) is stopped as 'steep' by ``_advance`` before its next
 step and switches there, and only there, to the polar chart for good,
 since both equilibria have a polar form; it records diagnostics on a
 fixed sampling cadence and terminates on its first classification event.
-Between samples the graph-chart members are advanced together, then the
-polar-chart ones, so that a member handed off in an interval (at its
-start included) finishes the interval in the polar chart.  Each member
-keeps its trial step from one interval to the next and starts again
-from ``ctl.dt`` in the polar chart.  ``evolve`` is its one-member case; a caller
+A run has two chart segments at most, each one ``_advance`` call: the
+graph-chart members step together to their handoff or event, then the
+polar-chart ones from their handoff to their event, and each member is
+sampled inside the loop whenever it reaches its next sample time.  A
+member handed off between samples (or at one) takes its next sample in
+the polar chart.  Each member keeps its trial step from one sample
+interval to the next and starts again from ``ctl.dt`` in the polar
+chart.  A sample computes what the stop rule reads; the snapshot curve,
+and the energy and tangent taken from it, are built on first read
+(``DiagnosticRecord``).  ``evolve`` is its one-member case; a caller
 that keeps only outcomes (a sweep) has each member keep only its latest
 sample, so a batch holds K states, not K histories.
 """
@@ -130,8 +136,10 @@ ORIGIN_LIMIT = 1e-9
 # Graph cell slope past which a curve on or above the axis is handed to the
 # polar chart before its next step, for the rest of its run.
 SLOPE_SWITCH = 10.0
-# Steps whose states are buffered per evaluation of the tracked energy.
-ENERGY_CHUNK = 64
+# Steps whose states are buffered per evaluation of the tracked energy.  An
+# evaluation holds a few temporaries of the buffer's size, so a larger chunk
+# raises the peak memory of a run more than it cuts the evaluation's cost.
+ENERGY_CHUNK = 16
 # Local error tolerance of a semi-implicit step in flow units: a step is
 # accepted when its error estimate is at most STEP_TOL / A.
 STEP_TOL = 1e-4
@@ -286,7 +294,14 @@ class TerminationEvent:
 
 @dataclass
 class DiagnosticRecord:
-    """Per-sample diagnostics along a run."""
+    """Per-sample diagnostics along a run.
+
+    A run's records (``_diagnose``) hold their snapshot and leave the
+    fields that come from it to their first read: L, S and E are
+    ``analysis.energy`` of the snapshot and tangent_y_P is the y-component
+    of its ``endpoint_tangents`` at P, each bitwise the value an eager
+    record would hold.
+    """
 
     t: float
     chart: str
@@ -299,6 +314,16 @@ class DiagnosticRecord:
     tangent_y_P: float
     dist_lower: float
     dist_upper: float
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set
+        snapshot = vars(self).get("_snapshot")
+        if snapshot is None or name not in ("L", "S", "E", "tangent_y_P"):
+            raise AttributeError(name)
+        L, S, E = energy(snapshot, self._A)
+        tangent_y_P = float(_end_tangent(*snapshot.points[:3])[1])  # endpoint_tangents' at_P
+        vars(self).update(L=L, S=S, E=E, tangent_y_P=tangent_y_P)
+        return vars(self)[name]
 
 
 @dataclass
@@ -366,6 +391,24 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # the two charts
 # ---------------------------------------------------------------------------
+
+
+class _Snapshot(SampledCurve):
+    """The ``SampledCurve`` of a graph or polar profile, converted (and
+    checked) on first read of its points."""
+
+    def __init__(self, profile):
+        object.__setattr__(self, "_profile", profile)
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set
+        profile = vars(self).get("_profile")
+        if profile is None or name != "points":
+            raise AttributeError(name)
+        to_sampled = graph_to_sampled if isinstance(profile, GraphProfile) else polar_to_sampled
+        points = to_sampled(profile).points
+        object.__setattr__(self, "points", points)
+        return points
 
 
 class _EnergyTracker:
@@ -476,7 +519,8 @@ class _GraphChart:
         return (L - self.A * S).tolist()
 
     def sample(self, u) -> SampledCurve:
-        return graph_to_sampled(GraphProfile(self.params, u))
+        """The curve of the graph u, checked now and converted on first read."""
+        return _Snapshot(GraphProfile(self.params, u))
 
     def compare(self, u):
         """(Word parameter, gap above the upper equilibrium, distance to
@@ -489,14 +533,15 @@ class _GraphChart:
         graph chart certifies neither escape nor upper convergence.
         """
         params = self.params
-        slope = float(np.max(np.abs(np.diff(u)))) / self.h
-        factor = int(np.clip(np.ceil(2.0 * slope * self.h / self.depth_scale), 16, 256))
+        slope = float(_max(np.abs(np.subtract(u[1:], u[:-1])))) / self.h
+        # np.clip's bounds, NaN kept
+        factor = int(min(max(np.ceil(2.0 * slope * self.h / self.depth_scale), 16.0), 256.0))
         if factor not in self.fill_cache:
             xs = np.linspace(-params.a, params.a, factor * (params.grid_n - 1) + 1)[1:-1]
             self.fill_cache[factor] = (xs, _arc_heights(params, xs, 1.0))
         x_fill, upper_fill = self.fill_cache[factor]
         gap = np.interp(x_fill, self.x, u) - upper_fill
-        dist_lower = float(np.max(np.abs(u - self.lower)))
+        dist_lower = float(_max(np.abs(u - self.lower)))
         return x_fill, gap, dist_lower, float("nan"), float("-inf")
 
 
@@ -560,15 +605,16 @@ class _PolarChart:
         return (L - self.A * S).tolist()
 
     def sample(self, rho) -> SampledCurve:
-        return polar_to_sampled(PolarProfile(self.params, rho))
+        """The curve of the radii rho, checked now and converted on first read."""
+        return _Snapshot(PolarProfile(self.params, rho))
 
     def compare(self, rho):
         """As for the graph chart, with words on the nodes themselves (exact
         radii; fill interpolation would add a chord bias near tangency)."""
         gap = rho[1:-1] - self.upper[1:-1]
-        dist_lower = float(np.max(np.abs(rho - self.lower)))
-        dist_upper = float(np.max(np.abs(rho - self.upper)))
-        return self.theta[1:-1], gap, dist_lower, dist_upper, float(np.min(gap))
+        dist_lower = float(_max(np.abs(rho - self.lower)))
+        dist_upper = float(_max(np.abs(rho - self.upper)))
+        return self.theta[1:-1], gap, dist_lower, dist_upper, float(_min(gap))
 
 
 # ---------------------------------------------------------------------------
@@ -684,16 +730,20 @@ def _euler_substep(H, invh2, M, F, inner, R, B, pins, pin, work):
     _implicit_solve(R.reshape(-1), B.reshape(-1), *work)
 
 
-def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
+def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
     """Advance each row of ``S`` in place from t[i] until t_end[i].
 
     ``S`` is a (K, n) array with one state of ``chart`` per row, ``t`` and
     ``t_end`` hold K times, ``trackers`` K energy trackers (or is None),
     and ``dts`` the K trial steps of the semi-implicit scheme, updated in
     place (None starts every row at ``ctl.dt``).  Each row takes its own
-    steps of its own size.  A row that has reached its end or stopped
-    leaves the batch, which is then packed into fewer rows, so an idle
-    row takes no step and records no energy.
+    steps of its own size.  With ``sample``, a row that reaches its end
+    is sampled there and may go on: ``sample(row, s, t)`` gets the row's
+    index in ``S``, its state (a view into the batch, which the call may
+    change) and its time, and returns the row's next end, or None.  A row
+    that has reached its last end or stopped leaves the batch, which is
+    then packed into fewer rows, so an idle row takes no step and records
+    no energy.
 
     With trackers, the state after step j of the packed batch's row i is
     copied to row j * nk + i of the chart's history buffer; the chart's
@@ -730,8 +780,8 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
     right-hand side and one gtsv call, and the last H/3 substep a third.
     The step that reaches a row's end sets its time to the end itself,
     not to the sum t + dt, so sample times stay on their grid.  Stepping
-    buffers are allocated each time the batch is packed; the history
-    buffer grows only when more rows are needed.
+    buffers and pin lists are built each time the batch is packed; the
+    history buffer grows only when more rows are needed.
     """
     K, n = S.shape
     m, pin = n - 2, chart.pin
@@ -741,7 +791,7 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
     tol = STEP_TOL / chart.A
     if dts is None:
         dts = [ctl.dt] * K
-    t, status = list(t), ["ok"] * K
+    t, t_end, status = list(t), list(t_end), ["ok"] * K
     rows = [row for row in range(K) if t[row] < t_end[row] - 1e-14]
     X, k = (S if len(rows) == K else S[rows]), 0
     while rows:
@@ -866,14 +916,21 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None):
                     _track(chart, hist, j, tracked, skipped)
                     j = 0
             if done:
-                leaving = done
-                break
+                if sample is not None:
+                    for i in list(done):
+                        end = sample(rows[i], X[i], times[i])
+                        if end is not None:
+                            ends[i], stops[i] = end, end - 1e-14
+                            del done[i]
+                if done:
+                    leaving = done
+                    break
         if tracked is not None and j:
             _track(chart, hist, j, tracked, skipped)
         for i, row in enumerate(rows):
             if i in leaving:
                 status[row] = leaving[i]
-            t[row], dts[row] = times[i], trial[i]
+            t[row], t_end[row], dts[row] = times[i], ends[i], trial[i]
         if X is not S:
             S[rows] = X
         rows = [row for i, row in enumerate(rows) if i not in leaving]
@@ -1034,19 +1091,21 @@ class _Run:
 def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bool = True):
     """Evolve several family curves of one ``ProblemParams`` as one batch.
 
-    Yields ``(i, trajectory)`` for ``fams[i]`` as each member finishes, so
-    that a caller can drop what it does not keep.  With ``history`` false
+    Yields ``(i, trajectory)`` for ``fams[i]``, the members that end in the
+    graph chart when its segment is over and then the others, so that a
+    caller can drop what it does not keep.  With ``history`` false
     a member keeps only its latest sample (snapshot and diagnostics
     record), so that a long batch holds K states, not K histories, and
     records no per-step energy: its ``max_step_energy_increase`` is NaN,
     "not recorded".  Every member follows ``evolve`` exactly, bitwise: all
     sample on the ``ctl.sample_interval`` cadence, each with its own time,
     steps, energy tracker and event.
-    Between samples the graph-chart members are advanced as one
-    ``(k, n)`` state and then the polar-chart ones.  A member that
-    ``_advance`` stops as 'steep' (before its first step of the interval
-    or later) is handed off here, the one place a run changes chart, and
-    finishes the interval in the polar chart.
+    The graph-chart members step as one ``(k, n)`` state in one
+    ``_advance`` call, which samples each at its sample times, to their
+    events or handoffs; then the polar-chart ones, in a second call.  A
+    member that ``_advance`` stops as 'steep' (at a sample time or between
+    two) is handed off here, the one place a run changes chart, and takes
+    its next sample in the polar chart.
     """
     fams = list(fams)
     if not fams:
@@ -1062,21 +1121,29 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
         _Run(i, fam, graph, initial_curve(fam).u.copy(), ctl.dt, history)
         for i, fam in enumerate(fams)
     ]
-    while runs:
-        for run in runs:
+
+    def sample(i, s, t):
+        """Sample member i of ``group`` at state s and time t; return its next
+        sample time, or None after its event."""
+        run = group[i]
+        run.s, run.t = s, t
+        run.sample(ctl, tols, horizon)
+        # a sample time within 1e-12 of the last is sampled again, unstepped
+        while run.event is None and not run.t < run.t_next - 1e-12:
             run.sample(ctl, tols, horizon)
-        for chart in (graph, polar):
-            group = [
-                run for run in runs
-                if run.event is None and run.chart is chart and run.t < run.t_next - 1e-12
-            ]
-            if not group:
-                continue
+        return run.t_next if run.event is None else None
+
+    group = runs
+    for i, run in enumerate(runs):
+        sample(i, run.s, 0.0)
+    for chart in (graph, polar):
+        group = [run for run in runs if run.event is None and run.chart is chart]
+        if group:
             S, dts = np.array([run.s for run in group]), [run.dt for run in group]
             t, status = _advance(
                 S, chart, [run.t for run in group], [run.t_next for run in group], ctl,
                 [run.tracker for run in group] if history else None,
-                dts,
+                dts, sample,
             )
             for run, s, t_run, dt, st in zip(group, S, t, dts, status):
                 run.s, run.t, run.dt = s, t_run, dt
@@ -1098,26 +1165,29 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
 
 
 def _diagnose(chart, s, curve: SampledCurve, t: float):
-    """Diagnostics of a sample, and its smallest gap above the upper equilibrium."""
-    L, S, E = energy(curve, chart.A)
+    """Diagnostics of a sample of state s and curve ``curve``, and its
+    smallest gap above the upper equilibrium.
+
+    The record computes what ``_decide`` reads now and the fields that
+    come from the curve on first read (``DiagnosticRecord``).
+    """
     V, ds = _normal_velocity(s, chart)
     param, gap_up, dist_lower, dist_upper, min_gap_up = chart.compare(s)
     try:
         letters = word_from_gap(param, gap_up).letters
     except Unresolvable:
         letters = None
-    rec = DiagnosticRecord(
+    rec = object.__new__(DiagnosticRecord)
+    vars(rec).update(
         t=t,
         chart=chart.name,
-        L=L,
-        S=S,
-        E=E,
         dissipation=float(_sum(V * V * ds)),
         sgn_upper=letters,
         kappa_dev_P=abs(float(V[chart.near_P])),
-        tangent_y_P=float(_end_tangent(*curve.points[:3])[1]),  # endpoint_tangents' at_P
         dist_lower=dist_lower,
         dist_upper=dist_upper,
+        _snapshot=curve,
+        _A=chart.A,
     )
     return rec, min_gap_up
 

@@ -94,7 +94,9 @@ class ProblemParams:
 
 
 def _finite(arr) -> bool:
-    return bool(np.all(np.isfinite(arr)))
+    # ufunc methods, here and in PolarProfile: the same tests as np.all and
+    # np.any without their Python wrappers
+    return bool(np.logical_and.reduce(np.isfinite(arr), None))
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ class PolarProfile:
             raise ValueError("polar profile contains non-finite radii")
         if rho[0] != self.params.a or rho[-1] != self.params.a:
             raise ValueError("polar profile must be pinned to exactly a at both endpoints")
-        if np.any(rho <= 0.0):
+        if not np.minimum.reduce(rho) > 0.0:
             raise ValueError("polar radii must be strictly positive")
 
 

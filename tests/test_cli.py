@@ -83,6 +83,17 @@ def test_sigma_list_parsing(tmp_path):
         load_config(None).sigma_list()  # empty by default
 
 
+def test_sweep_naming_no_amplitude_exits_1(tmp_path, capsys):
+    # a list of separators names no amplitude: an error, not an empty sweep.csv
+    cfg = write_cfg(tmp_path, BASE_CFG)
+    for sigmas in (",", " , ", ",,"):
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", cfg, f"--sigmas={sigmas}", "--out", str(out), "--quiet"]
+        assert main(argv) == 1
+        assert "config error: sweep needs amplitudes" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_override_flags_set_their_keys(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, BASE_CFG)
     seen = []

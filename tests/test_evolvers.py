@@ -806,6 +806,65 @@ def test_rejected_steps_leave_members_and_trackers_alone(monkeypatch):
         assert per_step[i].max_step_energy_increase.hex() == done[i].max_step_energy_increase.hex()
 
 
+def test_fixed_costs_scale_with_segments_not_samples(monkeypatch):
+    # an orbit run just above grid 101's sigma*: about 60 samples in two
+    # chart segments.  Each segment is one _advance call that samples its
+    # row in place, and the energy tracker flushes once per ENERGY_CHUNK
+    # buffered steps and once per segment at most, never once per sample
+    advance, track, flow_rhs = evolvers._advance, evolvers._track, evolvers._flow_rhs
+    segments, flushes, rhs_calls = [], [], []
+
+    def spy_advance(S, chart, *args):
+        segments.append(chart.name)
+        return advance(S, chart, *args)
+
+    def spy_track(*args):
+        flushes.append(None)
+        track(*args)
+
+    def spy_flow_rhs(*args):
+        rhs_calls.append(None)
+        flow_rhs(*args)
+
+    monkeypatch.setattr(evolvers, "_advance", spy_advance)
+    monkeypatch.setattr(evolvers, "_track", spy_track)
+    monkeypatch.setattr(evolvers, "_flow_rhs", spy_flow_rhs)
+    orbit = replace(_BATCH_TOLS, converge=0.0)
+    traj = evolve(InitialFamily(_BATCH_PARAMS, sigma=3.2767), _BATCH_CTL, orbit)
+    samples = len(traj.diagnostics)
+    assert traj.event.kind is EventKind.HORIZON_REACHED and samples == 61
+    assert segments == ["graph", "polar"]
+    # _flow_rhs runs three times per semi-implicit step, once per sample (its
+    # normal velocity) and once before the guard stops the graph segment
+    steps, rest = divmod(len(rhs_calls) - samples - 1, 3)
+    assert rest == 0
+    assert len(flushes) <= -(-steps // evolvers.ENERGY_CHUNK) + len(segments)
+
+
+def test_sample_times_within_1e_12_are_sampled_unstepped():
+    # sample times closer than 1e-12 to the last are sampled again without
+    # a step, so a run with a sub-1e-12 interval still reaches its horizon
+    p = ProblemParams(A=1.0, a=0.5, grid_n=41)
+    ctl = StepControl.for_params(p, scheme="semi_implicit", t_max=3e-12, sample_interval=1e-13)
+    traj = evolve(InitialFamily(p, sigma=0.1), ctl, ClassifierTolerances(t_max=3e-12))
+    assert traj.event.kind is EventKind.HORIZON_REACHED
+    assert traj.times().tolist() == [0.0] * 11 + [1.1e-12] * 11 + [2.2e-12]
+
+
+@pytest.mark.parametrize("sigma", [0.1, 2.9])
+def test_samples_record_the_energy_and_tangent_of_their_snapshots(sigma):
+    # every sample's L, S, E and tangent_y_P are bitwise analysis.energy and
+    # endpoint_tangents' at_P of the curve it records, in a graph run (0.1)
+    # and in a run that hands off to the polar chart (2.9)
+    traj = evolve(InitialFamily(_BATCH_PARAMS, sigma=sigma), _BATCH_CTL, _BATCH_TOLS)
+    assert {d.chart for d in traj.diagnostics} == ({"graph"} if sigma < 1.0 else {"graph", "polar"})
+    for rec, (t, curve) in zip(traj.diagnostics, traj.snapshots, strict=True):
+        assert rec.t == t
+        got = [rec.L, rec.S, rec.E, rec.tangent_y_P]
+        want = [*energy(curve, traj.params.A), float(endpoint_tangents(curve).at_P[1])]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def test_evolve_leaves_no_reference_cycles():
     # the charts and their buffers are freed when a run ends, not at the
     # next full collection
