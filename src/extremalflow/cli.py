@@ -22,7 +22,7 @@ from .classifier import (
     classify,
     sweep,
 )
-from .evolvers import ClassifierTolerances, EventKind, StepControl
+from .evolvers import DISSIPATION_FLOOR, ESCAPE_GAP, ClassifierTolerances, EventKind, StepControl
 from .geometry import ProblemParams
 from .solutions import InitialFamily, grim_reaper_dominating_sigma
 from .verification import run_all
@@ -52,8 +52,6 @@ class RunConfig:
     t_max: float = 50.0
     sample_interval: float = 0.1
     converge: float = 1e-3
-    escape_gap: float = 1e-3
-    dissipation: float = 1e-4
     out_dir: str = "runs/out"
     sigmas: str = ""
     bisect_lo: float = 0.1
@@ -76,12 +74,7 @@ class RunConfig:
         )
 
     def tolerances(self) -> ClassifierTolerances:
-        return ClassifierTolerances(
-            converge=self.converge,
-            escape_gap=self.escape_gap,
-            dissipation=self.dissipation,
-            t_max=self.t_max,
-        )
+        return ClassifierTolerances(converge=self.converge, t_max=self.t_max)
 
     def sigma_list(self):
         raw = self.sigmas.strip()
@@ -198,7 +191,8 @@ def cmd_bisect(cfg: RunConfig, quiet: bool) -> int:
     )
     out = cfg.out_dir
     payload = bracket.to_dict()
-    payload["tolerances"] = {**asdict(cfg.tolerances()), "width_tol": cfg.width_tol}
+    stop_rule = {"dissipation": DISSIPATION_FLOOR, "escape_gap": ESCAPE_GAP}
+    payload["tolerances"] = {**asdict(cfg.tolerances()), **stop_rule, "width_tol": cfg.width_tol}
     _json_dump(payload, os.path.join(out, "bracket.json"))
     if not quiet:
         print(

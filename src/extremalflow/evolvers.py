@@ -143,6 +143,10 @@ ENERGY_CHUNK = 16
 # Local error tolerance of a semi-implicit step in flow units: a step is
 # accepted when its error estimate is at most STEP_TOL / A.
 STEP_TOL = 1e-4
+# The stop rule's thresholds (``_decide``): the radial clearance above the upper
+# equilibrium that certifies escape, and the dissipation floor of convergence.
+ESCAPE_GAP = 1e-3
+DISSIPATION_FLOOR = 1e-4
 
 # The reductions of the stepping loop, called as ufunc methods: the same
 # arithmetic as ndarray.max() and friends without their Python wrapper.
@@ -208,8 +212,9 @@ class StepControl:
     linearized-diffusion variant.  The explicit step is cfl * h^2 * min(M)
     on the grid being stepped (see ``_advance``).  ``dt`` is read only as
     the first trial step of the semi-implicit scheme's error-controlled
-    step size; no semi-implicit step exceeds ``sample_interval``.  Build
-    one with ``for_params``, which states the defaults.
+    step size; no semi-implicit step exceeds ``sample_interval``, at least
+    1e-9 (above ``_decide``'s 1e-12 horizon slack).  ``t_max`` is finite.
+    Build one with ``for_params``, which states the defaults.
     """
 
     dt: float
@@ -224,8 +229,11 @@ class StepControl:
         if self.scheme == "explicit" and not 0 < self.cfl <= 0.25:
             raise ValueError("explicit scheme requires 0 < cfl <= 0.25")
         # written so that a NaN fails the test
-        if not all(v > 0 for v in (self.dt, self.cfl, self.t_max, self.sample_interval)):
-            raise ValueError("dt, cfl, t_max and sample_interval must be positive")
+        positive = (self.dt, self.cfl, self.sample_interval)
+        if not (all(v > 0 for v in positive) and 0 < self.t_max < inf):
+            raise ValueError("dt, cfl, t_max and sample_interval must be positive, t_max finite")
+        if self.sample_interval < 1e-9:
+            raise ValueError(f"sample_interval must be at least 1e-9, got {self.sample_interval!r}")
 
     @classmethod
     def for_params(
@@ -255,26 +263,20 @@ class ClassifierTolerances:
     """Finite-time proxies for the asymptotic statements of the theory.
 
     ``converge``: sup-distance at which an orbit is declared locked onto
-    an equilibrium (together with the dissipation floor); 0 switches both
-    convergence events off, so the run follows its orbit until it escapes,
-    blows up or reaches the horizon.  ``escape_gap``:
-    minimum interior radial clearance above the upper equilibrium that
-    certifies escape.  ``dissipation``: the floor below which a sample's
-    curvature dissipation integral sum (kappa - A)^2 ds, the rate at
-    which E = L - A*S falls, counts as settled.  ``t_max``:
-    classification horizon.
+    an equilibrium (together with a dissipation below
+    ``DISSIPATION_FLOOR``); 0 switches both convergence events off, so
+    the run follows its orbit until it escapes (a clearance past
+    ``ESCAPE_GAP``), blows up or reaches the horizon.  ``t_max``: the
+    classification horizon, finite.
     """
 
     converge: float = 1e-3
-    escape_gap: float = 1e-3
-    dissipation: float = 1e-4
     t_max: float = 50.0
 
     def __post_init__(self):
         # written so that a NaN fails the test
-        positive = (self.escape_gap, self.dissipation, self.t_max)
-        if not (self.converge >= 0 and all(v > 0 for v in positive)):
-            raise ValueError("all tolerances must be positive (converge may be 0)")
+        if not (self.converge >= 0 and 0 < self.t_max < inf):
+            raise ValueError("all tolerances must be positive (converge may be 0, t_max finite)")
 
 
 class EventKind(Enum):
@@ -332,16 +334,20 @@ class Trajectory:
 
     params: ProblemParams
     sigma: float
-    snapshots: list
     diagnostics: list
     event: TerminationEvent
     max_step_energy_increase: float = float("-inf")
 
+    @property
+    def snapshots(self) -> list:
+        """(t, curve) of each sample, from its record."""
+        return [(r.t, r._snapshot) for r in self.diagnostics]
+
     def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
+        return np.array([r.t for r in self.diagnostics])
 
     def final_curve(self) -> SampledCurve:
-        return self.snapshots[-1][1]
+        return self.diagnostics[-1]._snapshot
 
     def summary_dict(self) -> dict:
         def clean(v):
@@ -1031,10 +1037,10 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
 
     * ``Escaped``           -- sign word '+' against the upper equilibrium
                                with interior radial clearance above
-                               ``tols.escape_gap`` (polar chart),
+                               ``ESCAPE_GAP`` (polar chart),
     * ``ConvergedLower/Upper`` -- sup-distance to the equilibrium below
                                ``tols.converge`` with dissipation below
-                               ``tols.dissipation`` (never, for
+                               ``DISSIPATION_FLOOR`` (never, for
                                ``tols.converge == 0``: an orbit run),
     * ``HorizonReached``    -- the time horizon min(ctl.t_max, tols.t_max),
     * ``Blowup``            -- a state out of range, a polar radius at
@@ -1053,24 +1059,20 @@ class _Run:
     it off once, to the polar chart."""
 
     __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "dt", "tracker",
-                 "history", "samples", "snapshots", "diagnostics", "event")
+                 "history", "samples", "diagnostics", "event")
 
     def __init__(self, index, fam, graph, s, dt, history):
         self.index, self.fam, self.chart, self.s = index, fam, graph, s
         self.t, self.dt, self.tracker, self.history = 0.0, dt, _EnergyTracker(), history
         self.samples = 0
-        self.snapshots, self.diagnostics, self.event = [], [], None
+        self.diagnostics, self.event = [], None
 
     def sample(self, ctl, tols, horizon):
         """Record a sample; then fire an event, or set the next sample time."""
-        chart = self.chart
-        curve = chart.sample(self.s)
-        rec, min_gap_up = _diagnose(chart, self.s, curve, self.t)
+        rec, min_gap_up = _diagnose(self.chart, self.s, self.t)
         if not self.history:
             self.diagnostics.clear()
-            self.snapshots.clear()
         self.diagnostics.append(rec)
-        self.snapshots.append((self.t, curve))
         self.event = _decide(rec, min_gap_up, tols, horizon)
         self.samples += 1
         if self.event is None:
@@ -1081,7 +1083,6 @@ class _Run:
         return Trajectory(
             params=self.fam.params,
             sigma=self.fam.sigma,
-            snapshots=self.snapshots,
             diagnostics=self.diagnostics,
             event=self.event,
             max_step_energy_increase=self.tracker.max_rise if self.history else float("nan"),
@@ -1094,8 +1095,8 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     Yields ``(i, trajectory)`` for ``fams[i]``, the members that end in the
     graph chart when its segment is over and then the others, so that a
     caller can drop what it does not keep.  With ``history`` false
-    a member keeps only its latest sample (snapshot and diagnostics
-    record), so that a long batch holds K states, not K histories, and
+    a member keeps only its latest sample's record (which holds the
+    snapshot), so that a long batch holds K states, not K histories, and
     records no per-step energy: its ``max_step_energy_increase`` is NaN,
     "not recorded".  Every member follows ``evolve`` exactly, bitwise: all
     sample on the ``ctl.sample_interval`` cadence, each with its own time,
@@ -1128,14 +1129,10 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
         run = group[i]
         run.s, run.t = s, t
         run.sample(ctl, tols, horizon)
-        # a sample time within 1e-12 of the last is sampled again, unstepped
-        while run.event is None and not run.t < run.t_next - 1e-12:
-            run.sample(ctl, tols, horizon)
         return run.t_next if run.event is None else None
 
-    group = runs
-    for i, run in enumerate(runs):
-        sample(i, run.s, 0.0)
+    for run in runs:
+        run.sample(ctl, tols, horizon)
     for chart in (graph, polar):
         group = [run for run in runs if run.event is None and run.chart is chart]
         if group:
@@ -1164,13 +1161,15 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
         runs = [run for run in runs if run.event is None]
 
 
-def _diagnose(chart, s, curve: SampledCurve, t: float):
-    """Diagnostics of a sample of state s and curve ``curve``, and its
+def _diagnose(chart, s, t: float):
+    """Diagnostics of a sample of state s of ``chart`` at time t, and its
     smallest gap above the upper equilibrium.
 
-    The record computes what ``_decide`` reads now and the fields that
-    come from the curve on first read (``DiagnosticRecord``).
+    The record holds the state's curve (``chart.sample``) and computes
+    what ``_decide`` reads now and the fields that come from the curve
+    on first read (``DiagnosticRecord``).
     """
+    curve = chart.sample(s)
     V, ds = _normal_velocity(s, chart)
     param, gap_up, dist_lower, dist_upper, min_gap_up = chart.compare(s)
     try:
@@ -1193,10 +1192,12 @@ def _diagnose(chart, s, curve: SampledCurve, t: float):
 
 
 def _decide(rec: DiagnosticRecord, min_gap_up: float, tols, horizon: float):
-    """The termination event a sample fires, or None."""
+    """The termination event a sample fires, or None: Escaped past a
+    clearance of ``ESCAPE_GAP``, a convergence within ``tols.converge``
+    once the dissipation is below ``DISSIPATION_FLOOR``, or the horizon."""
     t = rec.t
-    settled = rec.dissipation < tols.dissipation
-    if rec.sgn_upper == "+" and min_gap_up > tols.escape_gap:
+    settled = rec.dissipation < DISSIPATION_FLOOR
+    if rec.sgn_upper == "+" and min_gap_up > ESCAPE_GAP:
         return TerminationEvent(EventKind.ESCAPED, t, f"clearance {min_gap_up:.3e}")
     if rec.dist_lower < tols.converge and settled:
         return TerminationEvent(EventKind.CONVERGED_LOWER, t, f"sup-distance {rec.dist_lower:.3e}")

@@ -65,9 +65,7 @@ class VerificationContext:
 
     def __init__(self):
         self.params = ProblemParams(A=1.0, a=0.5, grid_n=201)
-        self.tols = ClassifierTolerances(
-            converge=1e-3, escape_gap=1e-3, dissipation=1e-4, t_max=50.0
-        )
+        self.tols = ClassifierTolerances(converge=1e-3, t_max=50.0)
         self.ctl = StepControl.for_params(
             self.params, scheme="semi_implicit", t_max=50.0
         )

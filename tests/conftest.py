@@ -39,4 +39,4 @@ def diagnose(profile):
         chart, s = evolvers._GraphChart(p.dx, p.A, p), profile.u
     else:
         chart, s = evolvers._PolarChart(p.dtheta, p.A, p.a, p), profile.rho
-    return evolvers._diagnose(chart, s, chart.sample(s), 0.0)[0]
+    return evolvers._diagnose(chart, s, 0.0)[0]

@@ -62,9 +62,7 @@ def test_config_rejects_bad_values(tmp_path):
         load_config(str(tmp_path / "nope.cfg"))
 
 
-@pytest.mark.parametrize(
-    "key", ["cfl", "t_max", "sample_interval", "converge", "escape_gap", "dissipation", "width_tol"]
-)
+@pytest.mark.parametrize("key", ["cfl", "t_max", "sample_interval", "converge", "width_tol"])
 def test_nan_setting_exits_1(tmp_path, capsys, key):
     # `load_config` rejects NaN before any simulation starts; width_tol is
     # checked by the bisection itself
@@ -73,6 +71,31 @@ def test_nan_setting_exits_1(tmp_path, capsys, key):
     argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
     assert main(argv) == 1
     assert "must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("t_max = inf", "must be positive"),
+        ("sample_interval = 1e-13", "sample_interval must be at least 1e-9"),
+    ],
+)
+def test_out_of_range_setting_exits_1(tmp_path, capsys, setting, message):
+    # an infinite horizon never ends; sample intervals stay three decades
+    # above the stop rule's 1e-12 horizon slack
+    cfg = write_cfg(tmp_path, BASE_CFG + setting + "\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["escape_gap", "dissipation"])
+def test_stop_rule_constants_are_not_config_keys(tmp_path, capsys, key):
+    # the escape clearance and the dissipation floor are evolvers constants
+    cfg = write_cfg(tmp_path, BASE_CFG + f"{key} = 1e-3\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert "unknown key" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -211,7 +234,10 @@ def test_bisect_json(tmp_path):
     payload = json.loads((tmp_path / "bi" / "bracket.json").read_text())
     assert payload["width"] <= 0.2
     assert payload["lo"] < payload["hi"]
-    assert payload["tolerances"]["width_tol"] == 0.2
+    # the stop rule's constants are written beside the configured tolerances
+    assert payload["tolerances"] == {
+        "converge": 1e-3, "dissipation": 1e-4, "escape_gap": 1e-3, "t_max": 30.0, "width_tol": 0.2
+    }
     assert payload["iterations"]
 
 

@@ -92,10 +92,18 @@ def test_step_control_rejects_nan(semi, field):
         replace(semi, **{field: float("nan")})
 
 
-@pytest.mark.parametrize("field", ["converge", "escape_gap", "dissipation", "t_max"])
+@pytest.mark.parametrize("field", ["converge", "t_max"])
 def test_classifier_tolerances_reject_nan(field):
     with pytest.raises(ValueError):
         ClassifierTolerances(**{field: float("nan")})
+
+
+def test_an_infinite_horizon_is_rejected(semi):
+    # a run with t_max = inf would never end, and its history would grow every sample
+    with pytest.raises(ValueError, match="must be positive"):
+        replace(semi, t_max=float("inf"))
+    with pytest.raises(ValueError, match="must be positive"):
+        ClassifierTolerances(t_max=float("inf"))
 
 
 def test_classifier_tolerances_accept_converge_zero():
@@ -611,7 +619,7 @@ def test_batch_without_history_keeps_the_last_sample():
         lean, full = done[i], _alone(s)
         assert len(lean.diagnostics) == len(lean.snapshots) == 1
         assert np.isnan(lean.max_step_energy_increase)  # not recorded
-        last = replace(full, diagnostics=full.diagnostics[-1:], snapshots=full.snapshots[-1:])
+        last = replace(full, diagnostics=full.diagnostics[-1:])
         recorded = replace(lean, max_step_energy_increase=full.max_step_energy_increase)
         _assert_same_run(recorded, last)
 
@@ -841,14 +849,13 @@ def test_fixed_costs_scale_with_segments_not_samples(monkeypatch):
     assert len(flushes) <= -(-steps // evolvers.ENERGY_CHUNK) + len(segments)
 
 
-def test_sample_times_within_1e_12_are_sampled_unstepped():
-    # sample times closer than 1e-12 to the last are sampled again without
-    # a step, so a run with a sub-1e-12 interval still reaches its horizon
+def test_sample_intervals_below_1e_9_are_rejected():
+    # the stop rule reads a sample within 1e-12 of the horizon as at it, and
+    # sample intervals stay three decades above that slack
     p = ProblemParams(A=1.0, a=0.5, grid_n=41)
-    ctl = StepControl.for_params(p, scheme="semi_implicit", t_max=3e-12, sample_interval=1e-13)
-    traj = evolve(InitialFamily(p, sigma=0.1), ctl, ClassifierTolerances(t_max=3e-12))
-    assert traj.event.kind is EventKind.HORIZON_REACHED
-    assert traj.times().tolist() == [0.0] * 11 + [1.1e-12] * 11 + [2.2e-12]
+    with pytest.raises(ValueError, match="sample_interval must be at least 1e-9"):
+        StepControl.for_params(p, scheme="semi_implicit", t_max=3e-12, sample_interval=1e-13)
+    assert StepControl.for_params(p, sample_interval=1e-9).sample_interval == 1e-9
 
 
 @pytest.mark.parametrize("sigma", [0.1, 2.9])
