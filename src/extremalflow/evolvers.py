@@ -9,11 +9,16 @@ whichever chart currently represents the curve:
 
 Both are s_t = s_qq / M + F, stepped by one loop, ``_advance``, that owns
 the central-difference stencils and the step size, one rule per scheme.
-Explicit Euler steps by cfl h^2 min(M), the parabolic bound of each row.
-The semi-implicit variant, for long runs where that bound is the
-bottleneck, is linearly implicit Euler (diffusion implicit with frozen
-coefficients, forcing explicit; Ascher, Ruuth and Wetton 1995)
-extrapolated to third order from one full, two half and three third
+The explicit scheme takes RKL2 super-steps (Runge-Kutta-Legendre, second
+order; Meyer, Balsara and Aslam 2014, J. Comput. Phys. 257:594, after
+Alexiades, Amiez and Gremaud 1996): s stages, each one right-hand side,
+span (s^2 + s - 2) / 4 Euler limits cfl h^2 min(M), the parabolic bound
+of the row, and a step within one limit is an Euler step.  A row's step
+is at most ``RKL_STAGES`` stages long and moves no node by more than one
+cell.  The semi-implicit variant, for long runs where the parabolic
+bound is the bottleneck, is linearly implicit Euler (diffusion implicit
+with frozen coefficients, forcing explicit; Ascher, Ruuth and Wetton
+1995) extrapolated to third order from one full, two half and three third
 steps (the harmonic sequence 1, 2, 3; Deuflhard 1985, SIAM Rev. 27:505),
 whose last two tableau entries set an adaptive step size per row (Hairer
 and Wanner, Solving ODEs II, IV.9): each row takes the step its error
@@ -32,7 +37,8 @@ with its own time, step size, step count and energy tracker; a row may
 reject a step while the others accept theirs.  A row that reaches its
 end is sampled there, in the loop, and goes on to its next end or leaves
 the batch; the batch is then packed to the rows still stepping, so every
-numpy call is shared by all members in step.
+numpy call is shared by all members in step, but for the stages of an
+explicit super-step, which each row takes by itself.
 Each accepted step's energy E = L - A*S is bitwise ``analysis.energy``
 of the points the chart's ``sample`` returns, evaluated per chunk: the
 stepped states are copied into a history buffer of the chart and
@@ -47,10 +53,11 @@ module by ``_load_dgtsv`` without importing scipy.  The matrix is
 diagonally dominant, so gtsv never swaps rows, a zero multiplier adds
 exactly nothing, and each row's solution is bitwise that of its own
 solve.  Row reductions (max, min, sum along a row) are bitwise those of
-the row alone, and a row's step size and its acceptance read only its
-own error estimate, so a member of a batch steps exactly as it would by
-itself.  The guards are written so that NaN fails them (the graph chart
-checks every 32 steps); a row whose right-hand side is not finite is
+the row alone, a row's step size and its acceptance read only its own
+error estimate, and an explicit row takes its own super-step by itself,
+so a member of a batch steps exactly as it would alone.  The guards are
+written so that NaN fails them (the graph chart checks every 32 steps);
+a row whose right-hand side is not finite is
 'blown' before its step, which would carry it into its neighbours
 through the zero coupling (0 * inf is NaN).  Buffers are reused across
 steps.
@@ -78,6 +85,7 @@ sample, so a batch holds K states, not K histories.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -143,6 +151,9 @@ ENERGY_CHUNK = 16
 # Local error tolerance of a semi-implicit step in flow units: a step is
 # accepted when its error estimate is at most STEP_TOL / A.
 STEP_TOL = 1e-4
+# Stages of the longest explicit super-step (RKL2, ``_advance``); s stages
+# span (s^2 + s - 2) / 4 Euler limits, 232 at 30.
+RKL_STAGES = 30
 # The stop rule's thresholds (``_decide``): the radial clearance above the upper
 # equilibrium that certifies escape, and the dissipation floor of convergence.
 ESCAPE_GAP = 1e-3
@@ -156,6 +167,27 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 # for the same arithmetic.
 _HALF, _ONE, _TWO, _THREE = np.array(0.5), np.array(1.0), np.array(2.0), np.array(3.0)
 _NO_ROWS = np.empty((0, 0))
+
+
+def _rkl_coefficients(s_max):
+    """The RKL2 recursion up to ``s_max`` stages (Meyer, Balsara and Aslam
+    2014, J. Comput. Phys. 257:594, section 3): for each stage j >= 2 the
+    0-d arrays mu_j, nu_j, 1 - mu_j - nu_j and a_(j-1) mu_j, none of which
+    depends on the stage count s, and the span (s^2 + s - 2) / 4 of s
+    stages in Euler limits for s = 0 .. s_max (an increasing list).
+    """
+    b = [1 / 3] * 3 + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(3, s_max + 1)]
+    stages = [None, None]
+    for j in range(2, s_max + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        coefficients = mu, nu, 1.0 - mu - nu, (1.0 - b[j - 1]) * mu
+        stages.append(tuple(np.array(v) for v in coefficients))
+    return stages, [(s * s + s - 2) / 4 for s in range(s_max + 1)]
+
+
+_RKL, _RKL_SPANS = _rkl_coefficients(RKL_STAGES)
+_THIRD = np.array(1 / 3)  # b_1 of the first stage
 
 
 def _load_dgtsv(locations=None):
@@ -208,9 +240,12 @@ class BlowupError(RuntimeError):
 class StepControl:
     """Stepping parameters, for any grid.
 
-    ``scheme`` selects 'explicit' Euler or the 'semi_implicit'
-    linearized-diffusion variant.  The explicit step is cfl * h^2 * min(M)
-    on the grid being stepped (see ``_advance``).  ``dt`` is read only as
+    ``scheme`` selects 'explicit' RKL2 super-steps or the 'semi_implicit'
+    linearized-diffusion variant.  ``cfl`` sets the explicit scheme's Euler
+    limit cfl * h^2 * min(M) on the grid being stepped: a step within it is
+    an Euler step, and an s-stage super-step spans (s^2 + s - 2) / 4 of
+    them, each stage moving by at most one limit (see ``_advance``); at
+    most 0.25, half the Euler bound h^2 M / 2.  ``dt`` is read only as
     the first trial step of the semi-implicit scheme's error-controlled
     step size; no semi-implicit step exceeds ``sample_interval``, at least
     1e-9 (above ``_decide``'s 1e-12 horizon slack).  ``t_max`` is finite.
@@ -245,9 +280,9 @@ class StepControl:
         sample_interval: float = 0.1,
     ) -> "StepControl":
         """Controls sized for the grid of ``params``: dt = cfl * dx^2 for
-        the explicit scheme (its step on a graph with a node of zero
-        slope), a first trial step dt = 0.1 * dx for the semi-implicit
-        one."""
+        the explicit scheme (its Euler limit on a graph with a node of
+        zero slope), a first trial step dt = 0.1 * dx for the
+        semi-implicit one."""
         dx = params.dx
         return cls(
             dt=cfl * dx**2 if scheme == "explicit" else 0.1 * dx,
@@ -447,9 +482,9 @@ class _EnergyTracker:
 class _GraphChart:
     """Graph heights u(x), pinned to 0: M = 1 + u_x^2, F = A sqrt(M).
 
-    Since M >= 1, the explicit step cfl * dx^2 * min(M) is cfl * dx^2 on
-    a graph with a node of zero slope.  A chart built with ``params``
-    (that of a full run) compares against their lower equilibrium and
+    Since M >= 1, the explicit Euler limit cfl * dx^2 * min(M) is
+    cfl * dx^2 on a graph with a node of zero slope.  A chart built with
+    ``params`` (that of a full run) compares against their lower equilibrium and
     stops a row by one rule, ``steep``, before every step (``guard``):
     near the pins the discrete forcing A*sqrt(1 + u_x^2) outruns the
     diffusion as the wall steepens.  ``evolve_batch`` hands a steep row
@@ -555,10 +590,10 @@ class _PolarChart:
     """Polar radii rho(theta), pinned to a: M = rho^2 + rho_theta^2 and
     F = -(2 rho_theta^2 + rho^2) / (rho M) + A sqrt(M) / rho.
 
-    The explicit step cfl * dtheta^2 * min(M) is weighted by the metric,
-    as the diffusion coefficient 1 / M is.  A chart built with ``params``
-    compares against both equilibria of those ``params``.  The stepping
-    methods work on (k, n) arrays as in the graph chart.
+    The explicit Euler limit cfl * dtheta^2 * min(M) is weighted by the
+    metric, as the diffusion coefficient 1 / M is.  A chart built with
+    ``params`` compares against both equilibria of those ``params``.  The
+    stepping methods work on (k, n) arrays as in the graph chart.
     """
 
     # P = (-a, 0) sits at theta = pi, the last node
@@ -736,6 +771,53 @@ def _euler_substep(H, invh2, M, F, inner, R, B, pins, pin, work):
     _implicit_solve(R.reshape(-1), B.reshape(-1), *work)
 
 
+def _super_step(X, inner, chart, stages, wts, work):
+    """One RKL2 super-step of every row of the (k, n) batch X, in place.
+
+    Row i takes ``stages[i]`` stages, 1 being the Euler step X += tau rhs,
+    and ``wts[i]`` is its w1 * tau (tau itself for an Euler step), where
+    w1 = 4 / (s^2 + s - 2).  ``work`` = (Y, w, d1, M, F, rhs, D) are
+    buffers of ``_advance``: ``rhs`` holds the right-hand side of X on
+    entry, Y the two stage states of one row and w a 0-d array.  Each row
+    is stepped by itself, so a member of a batch steps exactly as it
+    would alone.  The stages alternate between Y[0] and Y[1], each
+    holding the pinned values of the row, and the last is copied back.
+    """
+    Y, w, d1, M, F, L, D = work
+    lo, hi = X[:, :-2], X[:, 2:]
+    ya, yb = [(y[:, :-2], y[:, 1:-1], y[:, 2:]) for y in Y]
+    for i, s in enumerate(stages):
+        r = slice(i, i + 1)
+        x, Li, w[()] = inner[r], L[r], wts[i]
+        Di = np.multiply(Li, w, out=D[r])  # w1 tau rhs(Y0)
+        if s == 1:
+            x += Di
+            continue
+        Y[:, :, 0], Y[:, :, -1] = X[i, 0], X[i, -1]
+        y = np.multiply(Di, _THIRD, out=ya[1])  # Y1 = Y0 + w1 tau rhs(Y0) / 3
+        y += x
+        scratch = d1[r], M[r], F[r], Li
+        prev2, prev, cur = (lo[r], x, hi[r]), ya, yb
+        for j in range(2, s + 1):
+            # Y_j = mu_j (Y_(j-1) + w1 tau rhs(Y_(j-1))) + nu_j Y_(j-2)
+            #       + (1 - mu_j - nu_j) Y0 - a_(j-1) mu_j w1 tau rhs(Y0),
+            # written over Y_(j-2), or for j = 2 (Y0 is the row) over Y[1]
+            mu, nu, c, g = _RKL[j]
+            _flow_rhs(*prev, chart, *scratch)
+            Li *= w
+            Li += prev[1]
+            Li *= mu
+            y = cur[1]
+            np.multiply(prev2[1], nu, out=y)
+            y += Li
+            np.multiply(x, c, out=Li)
+            y += Li
+            np.multiply(Di, g, out=Li)
+            y -= Li
+            prev2, prev, cur = prev, cur, prev
+        x[...] = prev[1]
+
+
 def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
     """Advance each row of ``S`` in place from t[i] until t_end[i].
 
@@ -763,10 +845,19 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
     caller hands it off to the polar chart).
 
     The loop owns the step size, one rule per scheme, each cut to the
-    row's end.  An explicit step is cfl h^2 min(M), the parabolic bound
-    of s_t = s_qq / M + F on the row.  A semi-implicit step is the row's
-    trial step (below), at most ``ctl.sample_interval``.  A row whose
-    right-hand side is not finite (NaN or +-inf) is 'blown' before its
+    row's end.  A semi-implicit step is the row's trial step (below), at
+    most ``ctl.sample_interval``.  An explicit step is an RKL2 super-step
+    (``_super_step``).  Its unit is the row's Euler limit cfl h^2 min(M),
+    the parabolic bound of s_t = s_qq / M + F, read at the start of the
+    step; s stages span (s^2 + s - 2) / 4 limits.  The step tau is the
+    least of the span of ``RKL_STAGES`` stages, the row's remaining
+    interval, and the one-cell cap tau max |rhs / f| <= h (f the chart's
+    ``speed`` factor), without which a fast transient is less accurate
+    than by Euler steps.  A step within one limit is an Euler step,
+    bitwise; a longer one takes the fewest stages whose span covers it.
+    The same max |rhs / f| screens the row: it is NaN or inf exactly when
+    an entry is (or on overflow); the semi-implicit scheme screens by the
+    row sum.  A row whose right-hand side is not finite is 'blown' before its
     step, so that it cannot leak into the other rows of the solve.
 
     The semi-implicit step Phi_H treats lap / M implicitly with M frozen
@@ -792,9 +883,9 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
     K, n = S.shape
     m, pin = n - 2, chart.pin
     explicit = ctl.scheme == "explicit"
-    dt_stab, dt_max = ctl.cfl * chart.h**2, ctl.sample_interval
-    invh2, dt1 = float(chart.invh2), np.empty(())
-    tol = STEP_TOL / chart.A
+    h, dt_max = chart.h, ctl.sample_interval
+    dt_stab, span = ctl.cfl * h**2, _RKL_SPANS[RKL_STAGES]
+    invh2, tol = float(chart.invh2), STEP_TOL / chart.A
     if dts is None:
         dts = [ctl.dt] * K
     t, t_end, status = list(t), list(t_end), ["ok"] * K
@@ -811,7 +902,12 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
             skipped = []  # (j, i) of each buffered row whose step was rejected
         lo, inner, hi = X[:, :-2], X[:, 1:-1], X[:, 2:]  # views: they follow in-place updates
         d1, M, F, rhs, W = np.empty((5, nk, m))
-        if not explicit:
+        if explicit:
+            # two stage states of one row (Y), and the rows' own stage
+            # counts and w1 * tau
+            work = np.empty((2, 1, n)), np.empty(()), d1, M, F, rhs, W
+            stages, wts = [1] * nk, [0.0] * nk
+        else:
             # Hs: the substeps H, H/2 and H/3 of every row ([0], [1], [2]);
             # R and B, the coefficients and right-hand sides of the first
             # substep of each sequence: one solve.  Z holds the states
@@ -838,16 +934,37 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
         while True:
             _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs)
             leaving = chart.guard(X, d1, k)
-            # explicit: cfl h^2 min(M), the parabolic bound of s_t = s_qq / M + F
-            steps = _min(M, 1).tolist() if explicit else trial[:]
-            rhs_sum = _sum(rhs, 1).tolist()  # NaN or +-inf if an entry is, or on overflow
+            if explicit:
+                # the Euler limit cfl h^2 min(M), the parabolic bound of
+                # s_t = s_qq / M + F, and max |rhs| / f, NaN or inf if an entry is
+                steps = _min(M, 1).tolist()
+                np.abs(rhs, out=M)
+                M /= chart.speed(inner)
+                screen = _max(M, 1).tolist()
+            else:
+                steps = trial[:]
+                screen = _sum(rhs, 1).tolist()  # NaN or +-inf if an entry is, or on overflow
             for i in range(nk):
-                dt = dt_stab * steps[i] if explicit else min(steps[i], dt_max)
+                if explicit:
+                    lim = dt_stab * steps[i]
+                    dt = span * lim
+                else:
+                    dt = min(steps[i], dt_max)
                 rem = ends[i] - times[i]
                 if rem < dt:  # min(dt, rem), NaN kept
                     dt = rem
+                if explicit:
+                    if dt * screen[i] > h:  # no node moves more than h f
+                        dt = h / screen[i]
+                    # within one Euler limit an Euler step, else the fewest stages
+                    # whose span covers dt, each advancing at most one Euler limit
+                    if dt <= lim:
+                        stages[i], wts[i] = 1, dt
+                    else:
+                        s = min(bisect_left(_RKL_SPANS, dt / lim), RKL_STAGES)
+                        stages[i], wts[i] = s, dt / _RKL_SPANS[s]
                 steps[i] = dt
-                if not (-inf < rhs_sum[i] < inf and dt > 0.0):
+                if not (-inf < screen[i] < inf and dt > 0.0):
                     leaving = leaving or {}
                     leaving.setdefault(i, "blown")
             if leaving:
@@ -855,13 +972,7 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
             k += 1
             done = rejected = None
             if explicit:
-                if nk == 1:  # a 0-d array, cheaper than a float or a (1, 1) broadcast
-                    dt1[()] = steps[0]
-                    dt = dt1
-                else:
-                    dt = np.array(steps)[:, None]
-                rhs *= dt
-                inner += rhs
+                _super_step(X, inner, chart, stages, wts, work)
             else:
                 Hs[0, :, 0] = steps
                 np.multiply(Hs[0], _HALF, out=Hs[1])

@@ -59,30 +59,40 @@ def test_step_control_validation(params):
 
 
 def test_step_rule_sets_the_step_counts(monkeypatch, params, explicit, semi):
-    # _flow_rhs runs once per explicit step and three times per semi-implicit one.
-    # The explicit step is cfl * h^2 * min(M): cfl * dtheta^2 * min(M) on
-    # the polar upper arc, and exactly cfl * dx^2 on the graph of the lower
-    # arc, whose apex has M = 1.  The semi-implicit step is error-controlled
-    # and at most sample_interval = 0.1: on the held equilibrium it grows 4x
-    # per step from dt = 0.1 dx to that bound, 4 steps to t = 0.0425 and 50
-    # more to t = 5, whatever the order of the extrapolation.
-    calls = []
-    flow_rhs = evolvers._flow_rhs
+    # An explicit super-step of s stages makes s _flow_rhs passes and spans
+    # (s^2 + s - 2) / 4 Euler limits cfl * h^2 * min(M), 232 at the most,
+    # RKL_STAGES = 30 stages.  The graph of the lower arc, whose apex has
+    # M = 1, has the limit cfl * dx^2: t = 0.01 is 2,000 limits (and was
+    # 2,000 Euler steps), 8 super-steps of 30 stages and one of 24.  The
+    # polar hold of the upper arc took 1,921 Euler steps.  A semi-implicit
+    # step makes three passes; it is error-controlled and at most
+    # sample_interval = 0.1: on the held equilibrium it grows 4x per step
+    # from dt = 0.1 dx to that bound, 4 steps to t = 0.0425 and 50 more to
+    # t = 5, whatever the order of the extrapolation.
+    passes, supers = [], []
+    flow_rhs, super_step = evolvers._flow_rhs, evolvers._super_step
 
     def spy(*args):
-        calls.append(None)
+        passes.append(None)
         flow_rhs(*args)
 
+    def spy_super(X, inner, chart, stages, *args):
+        supers.append(stages[0])
+        super_step(X, inner, chart, stages, *args)
+
     monkeypatch.setattr(evolvers, "_flow_rhs", spy)
+    monkeypatch.setattr(evolvers, "_super_step", spy_super)
 
-    def steps(advance, profile, ctl, t_end):
-        calls.clear()
+    def counts(advance, profile, ctl, t_end):
+        passes.clear()
+        supers.clear()
         advance(profile, ctl, t_end)
-        return len(calls) // (1 if ctl is explicit else 3)
+        return len(supers), len(passes)
 
-    assert steps(advance_polar, gamma_upper(params), explicit, 0.1) == 1921
-    assert steps(advance_graph, gamma_lower(params), explicit, 0.01) == 2000
-    assert steps(advance_graph, gamma_lower(params), semi, 5.0) == 54
+    assert counts(advance_polar, gamma_upper(params), explicit, 0.1) == (9, 256)
+    assert counts(advance_graph, gamma_lower(params), explicit, 0.01) == (9, 264)
+    assert supers == [30] * 8 + [24]
+    assert counts(advance_graph, gamma_lower(params), semi, 5.0) == (0, 3 * 54)
 
 
 @pytest.mark.parametrize("field", ["dt", "cfl", "t_max", "sample_interval"])
@@ -161,6 +171,27 @@ def test_blowup_guards(params, explicit):
         advance_polar(PolarProfile(params, rho), explicit, explicit.dt)
 
 
+@pytest.mark.parametrize("chart", ["graph", "polar"])
+def test_a_step_within_one_euler_limit_is_the_euler_step(params, explicit, chart):
+    # a run that ends within one Euler limit cfl * h^2 * min(M) takes one
+    # Euler step s + dt * rhs(s), bitwise
+    if chart == "graph":
+        s = initial_curve(InitialFamily(params, sigma=0.7)).u
+        c = evolvers._GraphChart(params.dx, params.A)
+    else:
+        s = gamma_upper(params).rho * (1.0 + 0.01 * np.sin(params.theta_nodes()))
+        c = evolvers._PolarChart(params.dtheta, params.A, params.a)
+    rhs, M = evolvers._rhs(s, c)
+    for share in (1.0, 0.3):
+        dt = share * explicit.cfl * c.h**2 * float(np.min(M))
+        euler = s.copy()
+        euler[1:-1] += rhs * dt
+        X = s[None].copy()
+        (t,), (status,) = evolvers._advance(X, c, [0.0], [dt], explicit)
+        assert status == "ok" and t == dt
+        assert X[0].tobytes() == euler.tobytes()
+
+
 @pytest.mark.parametrize("scheme", ["explicit", "semi_implicit"])
 @pytest.mark.parametrize("chart", ["graph", "polar"])
 def test_nan_state_is_blown(params, scheme, chart):
@@ -208,6 +239,37 @@ def test_nan_row_is_retired_before_its_step(params, scheme, chart):
         assert t[1] == 0.0
         assert [t[0]] == alone_t[0] and [t[2]] == alone_t[1]
         assert np.array_equal(S[0], alone[0][0]) and np.array_equal(S[2], alone[1][0])
+
+
+def test_explicit_rows_take_their_own_stage_counts(monkeypatch, params_coarse):
+    # the rows of one explicit batch take different stage counts (the steep
+    # sigma = 3 row is held to one cell per step, the last row ends within
+    # one Euler limit) and each steps, and tracks its energy, exactly as
+    # it would by itself
+    p = params_coarse
+    ctl = StepControl.for_params(p, cfl=0.2)
+    c = evolvers._GraphChart(p.dx, p.A, p)
+    c.guard = lambda *args: None  # keep the steep row in the graph chart
+    start = np.array([initial_curve(InitialFamily(p, sigma=s)).u for s in (3.0, 0.1, 1.0)])
+    t_end = [0.05, 0.05, 0.5 * ctl.dt]
+    counts, super_step = [], evolvers._super_step
+
+    def spy(X, inner, chart, stages, *args):
+        counts.append(list(stages))
+        super_step(X, inner, chart, stages, *args)
+
+    monkeypatch.setattr(evolvers, "_super_step", spy)
+    S = start.copy()
+    trackers = [evolvers._EnergyTracker() for _ in range(3)]
+    t, status = evolvers._advance(S, c, [0.0] * 3, t_end, ctl, trackers)
+    assert status == ["ok"] * 3 and t == t_end
+    first = counts[0]
+    assert first[2] == 1 and 1 < first[0] < first[1] == evolvers.RKL_STAGES
+    for i in range(3):
+        alone, tracker = start[i : i + 1].copy(), evolvers._EnergyTracker()
+        (ti,), _ = evolvers._advance(alone, c, [0.0], t_end[i : i + 1], ctl, [tracker])
+        assert ti == t[i] and alone[0].tobytes() == S[i].tobytes()
+        assert tracker.max_rise == trackers[i].max_rise
 
 
 def _banded_reference_solve(r, b):
@@ -370,6 +432,49 @@ def test_grid_convergence_order():
     e1 = np.max(np.abs(sols[101] - sols[201][::2]))
     e2 = np.max(np.abs(sols[201] - sols[401][::2]))
     assert np.log2(e1 / e2) >= 1.7
+
+
+def test_explicit_step_is_second_order_in_time(monkeypatch):
+    # halving cfl cuts the error of the explicit run about 4x (ratios 4.01
+    # and 4.04), each run against one reference at cfl = 0.05 / 64.  The
+    # one-cell cap never binds on this start, so every step is as long as
+    # its cfl allows: a step the cap cuts errs less than cfl predicts.
+    p = ProblemParams(A=1.0, a=0.5, grid_n=101)
+    g = initial_curve(InitialFamily(p, sigma=0.1))
+    ref = advance_graph(g, StepControl.for_params(p, cfl=0.05 / 64), 0.1).u
+    caps, super_step = [], evolvers._super_step
+
+    def spy(X, inner, chart, *args):
+        # the cfl at which the longest step would move a node by one cell
+        rhs, M = evolvers._rhs(X[0], chart)
+        longest = evolvers._RKL_SPANS[evolvers.RKL_STAGES] * chart.h**2 * np.min(M)
+        caps.append(chart.h / (longest * np.max(np.abs(rhs))))
+        super_step(X, inner, chart, *args)
+
+    monkeypatch.setattr(evolvers, "_super_step", spy)
+    errs = []
+    for cfl in (0.2, 0.1, 0.05):
+        caps.clear()
+        run = advance_graph(g, StepControl.for_params(p, cfl=cfl), 0.1).u
+        assert min(caps) > cfl
+        errs.append(np.max(np.abs(run - ref)))
+    assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
+
+
+def test_explicit_transient_is_no_less_accurate_than_euler(monkeypatch):
+    # a fast transient, sigma = 10 on grid 41 to t = 0.02, against Euler
+    # steps at cfl = 0.01: super-steps at cfl = 0.2 err 1.3e-4, Euler steps
+    # 8.2e-4.  With RKL_STAGES = 2 a super-step spans one Euler limit, so
+    # every step is an Euler step; the one-cell cap, which Euler steps
+    # without it did not have, leaves their error at 8.22e-4.
+    p = ProblemParams(A=1.0, a=0.5, grid_n=41)
+    g = initial_curve(InitialFamily(p, sigma=10.0))
+    run = advance_graph(g, StepControl.for_params(p, cfl=0.2), 0.02).u
+    monkeypatch.setattr(evolvers, "RKL_STAGES", 2)
+    euler = advance_graph(g, StepControl.for_params(p, cfl=0.2), 0.02).u
+    ref = advance_graph(g, StepControl.for_params(p, cfl=0.01), 0.02).u
+    err, euler_err = np.max(np.abs(run - ref)), np.max(np.abs(euler - ref))
+    assert err <= euler_err <= 8.3e-4
 
 
 def _one_step_errors(monkeypatch):
