@@ -11,11 +11,14 @@ Both are s_t = s_qq / M + F, stepped by one loop, ``_advance``, that owns
 the central-difference stencils and the step size, one rule per scheme.
 The explicit scheme takes RKL2 super-steps (Runge-Kutta-Legendre, second
 order; Meyer, Balsara and Aslam 2014, J. Comput. Phys. 257:594, after
-Alexiades, Amiez and Gremaud 1996): s stages, each one right-hand side,
-span (s^2 + s - 2) / 4 Euler limits cfl h^2 min(M), the parabolic bound
-of the row, and a step within one limit is an Euler step.  A row's step
-is at most ``RKL_STAGES`` stages long and moves no node by more than one
-cell.  The semi-implicit variant, for long runs where the parabolic
+Alexiades, Amiez and Gremaud 1996).  ``cfl`` sets the step: a row's step
+spans at most 232 Euler limits cfl h^2 min(M) (the span of
+``RKL_STAGES`` stages) and moves no node by more than one cell, and a
+step within one limit is an Euler step.  The parabolic bound h^2 min(M)
+/ 2 of the row sets the stages: s stages, each one right-hand side, span
+(s^2 + s - 2) / 4 times 0.9 of that bound, and a longer step takes the
+fewest that cover it.
+The semi-implicit variant, for long runs where the parabolic
 bound is the bottleneck, is linearly implicit Euler (diffusion implicit
 with frozen coefficients, forcing explicit; Ascher, Ruuth and Wetton
 1995) extrapolated to third order from one full, two half and three third
@@ -151,8 +154,10 @@ ENERGY_CHUNK = 16
 # Local error tolerance of a semi-implicit step in flow units: a step is
 # accepted when its error estimate is at most STEP_TOL / A.
 STEP_TOL = 1e-4
-# Stages of the longest explicit super-step (RKL2, ``_advance``); s stages
-# span (s^2 + s - 2) / 4 Euler limits, 232 at 30.
+# The longest explicit super-step (RKL2, ``_advance``) spans as many Euler
+# limits as RKL_STAGES stages span stage units, (s^2 + s - 2) / 4: 232 at 30.
+# Its stages are set by the parabolic bound: 20 at cfl = 0.2, 23 at 0.25, so
+# the coefficient table up to RKL_STAGES stages covers every step.
 RKL_STAGES = 30
 # The stop rule's thresholds (``_decide``): the radial clearance above the upper
 # equilibrium that certifies escape, and the dissipation floor of convergence.
@@ -174,7 +179,8 @@ def _rkl_coefficients(s_max):
     2014, J. Comput. Phys. 257:594, section 3): for each stage j >= 2 the
     0-d arrays mu_j, nu_j, 1 - mu_j - nu_j and a_(j-1) mu_j, none of which
     depends on the stage count s, and the span (s^2 + s - 2) / 4 of s
-    stages in Euler limits for s = 0 .. s_max (an increasing list).
+    stages, in the step one stage may take, for s = 0 .. s_max (an
+    increasing list).
     """
     b = [1 / 3] * 3 + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(3, s_max + 1)]
     stages = [None, None]
@@ -243,12 +249,13 @@ class StepControl:
     ``scheme`` selects 'explicit' RKL2 super-steps or the 'semi_implicit'
     linearized-diffusion variant.  ``cfl`` sets the explicit scheme's Euler
     limit cfl * h^2 * min(M) on the grid being stepped: a step within it is
-    an Euler step, and an s-stage super-step spans (s^2 + s - 2) / 4 of
-    them, each stage moving by at most one limit (see ``_advance``); at
-    most 0.25, half the Euler bound h^2 M / 2.  ``dt`` is read only as
-    the first trial step of the semi-implicit scheme's error-controlled
-    step size; no semi-implicit step exceeds ``sample_interval``, at least
-    1e-9 (above ``_decide``'s 1e-12 horizon slack).  ``t_max`` is finite.
+    an Euler step, and no step is longer than 232 of them (see
+    ``_advance``); at most 0.25, half the Euler bound h^2 M / 2.  The
+    stages of a longer step are set by that bound, not by ``cfl``.
+    ``dt`` is read only as the first trial step of the semi-implicit
+    scheme's error-controlled step size; no semi-implicit step exceeds
+    ``sample_interval``, at least 1e-9 (above ``_decide``'s 1e-12 horizon
+    slack).  ``t_max`` is finite.
     Build one with ``for_params``, which states the defaults.
     """
 
@@ -847,14 +854,18 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
     The loop owns the step size, one rule per scheme, each cut to the
     row's end.  A semi-implicit step is the row's trial step (below), at
     most ``ctl.sample_interval``.  An explicit step is an RKL2 super-step
-    (``_super_step``).  Its unit is the row's Euler limit cfl h^2 min(M),
-    the parabolic bound of s_t = s_qq / M + F, read at the start of the
-    step; s stages span (s^2 + s - 2) / 4 limits.  The step tau is the
-    least of the span of ``RKL_STAGES`` stages, the row's remaining
-    interval, and the one-cell cap tau max |rhs / f| <= h (f the chart's
-    ``speed`` factor), without which a fast transient is less accurate
-    than by Euler steps.  A step within one limit is an Euler step,
-    bitwise; a longer one takes the fewest stages whose span covers it.
+    (``_super_step``).  Its length is set by the row's Euler limit cfl h^2
+    min(M), read at the start of the step: the step tau is the least of
+    (s^2 + s - 2) / 4 limits for s = ``RKL_STAGES`` (232), the row's
+    remaining interval, and the one-cell cap tau max |rhs / f| <= h (f
+    the chart's ``speed`` factor), without which a fast transient is less
+    accurate than by Euler steps.  A step within one limit is an Euler
+    step, bitwise.  A longer one takes the fewest s >= 2 stages with
+    (s^2 + s - 2) / 4 * 0.45 h^2 min(M) >= tau: each stage within 0.9 of
+    the Euler bound h^2 min(M) / 2 of s_t = s_qq / M + F, which leaves
+    room for M to drift within the step (the one-cell cap moves a polar
+    rho by at most dtheta relative, and M by about twice that: 3 % on
+    grid 201; the graph chart's min(M) stays near 1).
     The same max |rhs / f| screens the row: it is NaN or inf exactly when
     an entry is (or on overflow); the semi-implicit scheme screens by the
     row sum.  A row whose right-hand side is not finite is 'blown' before its
@@ -884,7 +895,9 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
     m, pin = n - 2, chart.pin
     explicit = ctl.scheme == "explicit"
     h, dt_max = chart.h, ctl.sample_interval
-    dt_stab, span = ctl.cfl * h**2, _RKL_SPANS[RKL_STAGES]
+    # the Euler limit's and a stage's unit: 0.45 h^2 is 0.9 of the Euler
+    # bound h^2 min(M) / 2, room for M to drift within a step
+    dt_stab, dt_stage, span = ctl.cfl * h**2, 0.45 * h**2, _RKL_SPANS[RKL_STAGES]
     invh2, tol = float(chart.invh2), STEP_TOL / chart.A
     if dts is None:
         dts = [ctl.dt] * K
@@ -957,11 +970,13 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
                     if dt * screen[i] > h:  # no node moves more than h f
                         dt = h / screen[i]
                     # within one Euler limit an Euler step, else the fewest stages
-                    # whose span covers dt, each advancing at most one Euler limit
+                    # whose span covers dt, each advancing at most 0.45 h^2 min(M):
+                    # s >= 2 (dt exceeds cfl h^2 min(M) > 0), and s <= 23 < RKL_STAGES
+                    # (dt is at most 232 cfl h^2 min(M), cfl <= 0.25)
                     if dt <= lim:
                         stages[i], wts[i] = 1, dt
                     else:
-                        s = min(bisect_left(_RKL_SPANS, dt / lim), RKL_STAGES)
+                        s = bisect_left(_RKL_SPANS, dt / (dt_stage * steps[i]))
                         stages[i], wts[i] = s, dt / _RKL_SPANS[s]
                 steps[i] = dt
                 if not (-inf < screen[i] < inf and dt > 0.0):

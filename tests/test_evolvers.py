@@ -59,11 +59,12 @@ def test_step_control_validation(params):
 
 
 def test_step_rule_sets_the_step_counts(monkeypatch, params, explicit, semi):
-    # An explicit super-step of s stages makes s _flow_rhs passes and spans
-    # (s^2 + s - 2) / 4 Euler limits cfl * h^2 * min(M), 232 at the most,
-    # RKL_STAGES = 30 stages.  The graph of the lower arc, whose apex has
-    # M = 1, has the limit cfl * dx^2: t = 0.01 is 2,000 limits (and was
-    # 2,000 Euler steps), 8 super-steps of 30 stages and one of 24.  The
+    # An explicit super-step spans at most 232 Euler limits cfl * h^2 * min(M)
+    # (the span of RKL_STAGES = 30 stages); its s stages make s _flow_rhs
+    # passes and span (s^2 + s - 2) / 4 times 0.45 h^2 min(M).  The graph of
+    # the lower arc, whose apex has M = 1, has the limit cfl * dx^2: t = 0.01
+    # is 2,000 limits (and was 2,000 Euler steps), 8 super-steps of 232
+    # limits, 20 stages each, and one of 144 limits in 16 stages.  The
     # polar hold of the upper arc took 1,921 Euler steps.  A semi-implicit
     # step makes three passes; it is error-controlled and at most
     # sample_interval = 0.1: on the held equilibrium it grows 4x per step
@@ -89,10 +90,43 @@ def test_step_rule_sets_the_step_counts(monkeypatch, params, explicit, semi):
         advance(profile, ctl, t_end)
         return len(supers), len(passes)
 
-    assert counts(advance_polar, gamma_upper(params), explicit, 0.1) == (9, 256)
-    assert counts(advance_graph, gamma_lower(params), explicit, 0.01) == (9, 264)
-    assert supers == [30] * 8 + [24]
+    assert counts(advance_polar, gamma_upper(params), explicit, 0.1) == (9, 171)
+    assert counts(advance_graph, gamma_lower(params), explicit, 0.01) == (9, 176)
+    assert supers == [20] * 8 + [16]
     assert counts(advance_graph, gamma_lower(params), semi, 5.0) == (0, 3 * 54)
+
+
+def test_explicit_stages_are_the_fewest_the_parabolic_bound_allows(monkeypatch, params, explicit):
+    # a step within the Euler limit cfl * h^2 * min(M) is an Euler step;
+    # a longer one takes the fewest s >= 2 stages whose span (s^2 + s - 2) / 4
+    # of 0.45 h^2 min(M) (0.9 of the Euler bound h^2 min(M) / 2) covers it.
+    # The stages do not set the step lengths: criterion 1's graph hold takes
+    # 863 super-steps.  The sigma = 10 transient on grid 41 is cut by the
+    # one-cell cap, so its steps take many stage counts.
+    seen, super_step, spans = [], evolvers._super_step, evolvers._RKL_SPANS
+
+    def spy(X, inner, chart, stages, wts, *args):
+        for i, s in enumerate(stages):
+            _, M = evolvers._rhs(X[i], chart)
+            lim, unit = 0.2 * chart.h**2 * np.min(M), 0.45 * chart.h**2 * np.min(M)
+            if s == 1:
+                assert wts[i] <= lim
+            else:
+                dt = wts[i] * spans[s]
+                assert s >= 2 and dt * (1 + 1e-12) > lim
+                assert spans[s - 1] * unit < dt * (1 + 1e-12) <= spans[s] * unit * (1 + 2e-12)
+            seen.append(s)
+        super_step(X, inner, chart, stages, wts, *args)
+
+    monkeypatch.setattr(evolvers, "_super_step", spy)
+    advance_graph(gamma_lower(params), explicit, 1.0)
+    assert len(seen) == 863 and max(seen) == 20
+    coarse = ProblemParams(A=1.0, a=0.5, grid_n=41)
+    seen.clear()
+    advance_graph(initial_curve(InitialFamily(coarse, sigma=10.0)), explicit, 0.02)
+    advance_polar(gamma_upper(params), explicit, 0.1)
+    advance_graph(gamma_lower(params), explicit, 0.5 * explicit.dt)
+    assert seen[-1] == 1 and len(set(seen)) > 5
 
 
 @pytest.mark.parametrize("field", ["dt", "cfl", "t_max", "sample_interval"])
@@ -243,9 +277,10 @@ def test_nan_row_is_retired_before_its_step(params, scheme, chart):
 
 def test_explicit_rows_take_their_own_stage_counts(monkeypatch, params_coarse):
     # the rows of one explicit batch take different stage counts (the steep
-    # sigma = 3 row is held to one cell per step, the last row ends within
-    # one Euler limit) and each steps, and tracks its energy, exactly as
-    # it would by itself
+    # sigma = 3 row is held to one cell per step, the sigma = 0.1 row takes
+    # the full 232 limits, 103.1 times 0.45 dx^2 min(M) at cfl = 0.2, in
+    # 20 stages, the last row ends within one Euler limit) and each steps,
+    # and tracks its energy, exactly as it would by itself
     p = params_coarse
     ctl = StepControl.for_params(p, cfl=0.2)
     c = evolvers._GraphChart(p.dx, p.A, p)
@@ -264,7 +299,7 @@ def test_explicit_rows_take_their_own_stage_counts(monkeypatch, params_coarse):
     t, status = evolvers._advance(S, c, [0.0] * 3, t_end, ctl, trackers)
     assert status == ["ok"] * 3 and t == t_end
     first = counts[0]
-    assert first[2] == 1 and 1 < first[0] < first[1] == evolvers.RKL_STAGES
+    assert first[2] == 1 and 1 < first[0] < first[1] == 20
     for i in range(3):
         alone, tracker = start[i : i + 1].copy(), evolvers._EnergyTracker()
         (ti,), _ = evolvers._advance(alone, c, [0.0], t_end[i : i + 1], ctl, [tracker])
@@ -435,8 +470,8 @@ def test_grid_convergence_order():
 
 
 def test_explicit_step_is_second_order_in_time(monkeypatch):
-    # halving cfl cuts the error of the explicit run about 4x (ratios 4.01
-    # and 4.04), each run against one reference at cfl = 0.05 / 64.  The
+    # halving cfl cuts the error of the explicit run about 4x (ratios 3.93
+    # and 3.91), each run against one reference at cfl = 0.05 / 64.  The
     # one-cell cap never binds on this start, so every step is as long as
     # its cfl allows: a step the cap cuts errs less than cfl predicts.
     p = ProblemParams(A=1.0, a=0.5, grid_n=101)
@@ -463,7 +498,7 @@ def test_explicit_step_is_second_order_in_time(monkeypatch):
 
 def test_explicit_transient_is_no_less_accurate_than_euler(monkeypatch):
     # a fast transient, sigma = 10 on grid 41 to t = 0.02, against Euler
-    # steps at cfl = 0.01: super-steps at cfl = 0.2 err 1.3e-4, Euler steps
+    # steps at cfl = 0.01: super-steps at cfl = 0.2 err 2.2e-4, Euler steps
     # 8.2e-4.  With RKL_STAGES = 2 a super-step spans one Euler limit, so
     # every step is an Euler step; the one-cell cap, which Euler steps
     # without it did not have, leaves their error at 8.22e-4.
