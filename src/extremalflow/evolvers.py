@@ -44,9 +44,9 @@ numpy call is shared by all members in step, but for the stages of an
 explicit super-step, which each row takes by itself.
 Each accepted step's energy E = L - A*S is bitwise ``analysis.energy``
 of the points the chart's ``sample`` returns, evaluated per chunk: the
-stepped states are copied into a history buffer of the chart and
-``energy`` runs once on all buffered rows every ``ENERGY_CHUNK`` steps
-and when a row leaves.
+stepped states are copied into a buffer of ``ENERGY_CHUNK`` steps, one
+per packing of the batch, and ``energy`` runs once on all buffered rows
+when it is full and when a row leaves.
 The tridiagonal systems of a semi-implicit step go to LAPACK ``gtsv`` in
 three calls, as block-diagonal systems with zero coupling entries: the
 first substep of each sequence for every row, then the second H/2 and
@@ -76,9 +76,9 @@ graph-chart members step together to their handoff or event, then the
 polar-chart ones from their handoff to their event, and each member is
 sampled inside the loop whenever it reaches its next sample time.  A
 member handed off between samples (or at one) takes its next sample in
-the polar chart.  Each member keeps its trial step from one sample
-interval to the next and starts again from ``ctl.dt`` in the polar
-chart.  A sample computes what the stop rule reads; the snapshot curve,
+the polar chart.  A segment starts each member's trial step at
+``ctl.dt``, and the member keeps it from one sample interval to the
+next.  A sample computes what the stop rule reads; the snapshot curve,
 and the energy and tangent taken from it, are built on first read
 (``DiagnosticRecord``).  ``evolve`` is its one-member case; a caller
 that keeps only outcomes (a sweep) has each member keep only its latest
@@ -171,7 +171,6 @@ _max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 # ufunc takes one in about 0.3 us and a Python float in about 0.45 us,
 # for the same arithmetic.
 _HALF, _ONE, _TWO, _THREE = np.array(0.5), np.array(1.0), np.array(2.0), np.array(3.0)
-_NO_ROWS = np.empty((0, 0))
 
 
 def _rkl_coefficients(s_max):
@@ -231,11 +230,6 @@ def _load_dgtsv(locations=None):
 
 
 dgtsv = _load_dgtsv()
-
-
-def _grown(buf, k, m):
-    """``buf`` if it has k rows of m entries or more rows, else a new (k, m) array."""
-    return buf if len(buf) >= k and buf.shape[1] == m else np.empty((k, m))
 
 
 class BlowupError(RuntimeError):
@@ -509,7 +503,6 @@ class _GraphChart:
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
         self.A0 = np.array(A)
         self.fill_cache = {}
-        self.history = _NO_ROWS
         if params is not None:
             self.x, self.lower = params.x_nodes(), gamma_lower(params).u
             self.depth_scale = max(params.center_offset, 0.05 * params.a)
@@ -610,7 +603,6 @@ class _PolarChart:
         self.h, self.A, self.pin, self.params = h, A, pin, params
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
         self.A0 = np.array(A)
-        self.history = _NO_ROWS
         if params is not None:
             self.theta = params.theta_nodes()
             self.lower, self.upper = gamma_lower_polar(params).rho, gamma_upper(params).rho
@@ -825,28 +817,27 @@ def _super_step(X, inner, chart, stages, wts, work):
         x[...] = prev[1]
 
 
-def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
+def _advance(S, chart, t, t_end, ctl, trackers=None, sample=None):
     """Advance each row of ``S`` in place from t[i] until t_end[i].
 
     ``S`` is a (K, n) array with one state of ``chart`` per row, ``t`` and
-    ``t_end`` hold K times, ``trackers`` K energy trackers (or is None),
-    and ``dts`` the K trial steps of the semi-implicit scheme, updated in
-    place (None starts every row at ``ctl.dt``).  Each row takes its own
-    steps of its own size.  With ``sample``, a row that reaches its end
-    is sampled there and may go on: ``sample(row, s, t)`` gets the row's
-    index in ``S``, its state (a view into the batch, which the call may
-    change) and its time, and returns the row's next end, or None.  A row
-    that has reached its last end or stopped leaves the batch, which is
-    then packed into fewer rows, so an idle row takes no step and records
-    no energy.
+    ``t_end`` hold K times and ``trackers`` K energy trackers (or is
+    None).  Each row takes its own steps of its own size; a semi-implicit
+    row's first trial step is ``ctl.dt``.  With ``sample``, a row that
+    reaches its end is sampled there and may go on: ``sample(row, s, t)``
+    gets the row's index in ``S``, its state (a view into the batch, which
+    the call may change) and its time, and returns the row's next end, or
+    None.  A row that has reached its last end or stopped leaves the
+    batch, which is then packed into fewer rows, so an idle row takes no
+    step and records no energy.
 
     With trackers, the state after step j of the packed batch's row i is
-    copied to row j * nk + i of the chart's history buffer; the chart's
-    ``energy`` evaluates the buffered rows when ``ENERGY_CHUNK`` steps
-    are buffered and before the batch is packed, and each tracker takes
-    its row's energies of accepted steps in time order.  Every energy is
-    bitwise that of its step evaluated alone, and every tracker is up to
-    date on return.
+    copied to row j * nk + i of an energy buffer made each time the batch
+    is packed; the chart's ``energy`` evaluates the buffered rows when
+    ``ENERGY_CHUNK`` steps are buffered and before the batch is packed,
+    and each tracker takes its row's energies of accepted steps in time
+    order.  Every energy is bitwise that of its step evaluated alone, and
+    every tracker is up to date on return.
     Returns (t, status), lists of K entries with status 'ok', 'blown', or
     'steep' (``_GraphChart.steep`` flagged the row before its step; the
     caller hands it off to the polar chart).
@@ -887,9 +878,11 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
     call; the second H/2 and H/3 substeps are one stacked (2k, n)
     right-hand side and one gtsv call, and the last H/3 substep a third.
     The step that reaches a row's end sets its time to the end itself,
-    not to the sum t + dt, so sample times stay on their grid.  Stepping
-    buffers and pin lists are built each time the batch is packed; the
-    history buffer grows only when more rows are needed.
+    not to the sum t + dt, so sample times stay on their grid.  Each
+    row's time, end and trial step live in lists of the packed batch,
+    packed with its rows; a row's time and status reach the returned
+    lists, and its state ``S``, when it leaves.  Stepping buffers and pin
+    lists are built each time the batch is packed.
     """
     K, n = S.shape
     m, pin = n - 2, chart.pin
@@ -899,19 +892,17 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
     # bound h^2 min(M) / 2, room for M to drift within a step
     dt_stab, dt_stage, span = ctl.cfl * h**2, 0.45 * h**2, _RKL_SPANS[RKL_STAGES]
     invh2, tol = float(chart.invh2), STEP_TOL / chart.A
-    if dts is None:
-        dts = [ctl.dt] * K
-    t, t_end, status = list(t), list(t_end), ["ok"] * K
+    t, status = list(t), ["ok"] * K
     rows = [row for row in range(K) if t[row] < t_end[row] - 1e-14]
+    # per row of the packed batch: time, end, trial step and tracker
+    times, ends = [t[row] for row in rows], [t_end[row] for row in rows]
+    trial = [ctl.dt] * len(rows)
+    tracked = None if trackers is None else [trackers[row] for row in rows]
     X, k = (S if len(rows) == K else S[rows]), 0
     while rows:
         nk = len(rows)
-        times, ends = [t[row] for row in rows], [t_end[row] for row in rows]
-        stops, trial = [e - 1e-14 for e in ends], [dts[row] for row in rows]
-        tracked = None if trackers is None else [trackers[row] for row in rows]
         if tracked is not None:
-            chart.history = _grown(chart.history, ENERGY_CHUNK * nk, n)
-            hist, j = chart.history[: ENERGY_CHUNK * nk].reshape(ENERGY_CHUNK, nk, n), 0
+            hist, j = np.empty((ENERGY_CHUNK, nk, n)), 0
             skipped = []  # (j, i) of each buffered row whose step was rejected
         lo, inner, hi = X[:, :-2], X[:, 1:-1], X[:, 2:]  # views: they follow in-place updates
         d1, M, F, rhs, W = np.empty((5, nk, m))
@@ -1034,7 +1025,7 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
             for i in range(nk):
                 if rejected is None or i not in rejected:
                     ti = times[i] + steps[i]
-                    if not ti < stops[i]:  # the step that reaches the end lands on it
+                    if not ti < ends[i] - 1e-14:  # the step that reaches the end lands on it
                         ti = ends[i]
                         done = done or {}
                         done[i] = "ok"
@@ -1052,22 +1043,23 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, dts=None, sample=None):
                     for i in list(done):
                         end = sample(rows[i], X[i], times[i])
                         if end is not None:
-                            ends[i], stops[i] = end, end - 1e-14
+                            ends[i] = end
                             del done[i]
                 if done:
                     leaving = done
                     break
         if tracked is not None and j:
             _track(chart, hist, j, tracked, skipped)
-        for i, row in enumerate(rows):
-            if i in leaving:
-                status[row] = leaving[i]
-            t[row], t_end[row], dts[row] = times[i], ends[i], trial[i]
-        if X is not S:
-            S[rows] = X
-        rows = [row for i, row in enumerate(rows) if i not in leaving]
+        for i, st in leaving.items():
+            t[rows[i]], status[rows[i]] = times[i], st
+            if X is not S:
+                S[rows[i]] = X[i]
+        keep = [i for i in range(nk) if i not in leaving]
+        rows, times, ends, trial = ([v[i] for i in keep] for v in (rows, times, ends, trial))
+        if tracked is not None:
+            tracked = [tracked[i] for i in keep]
         if rows:
-            X = S[rows]
+            X = X[keep]
     return t, status
 
 
@@ -1180,16 +1172,16 @@ def evolve(fam: InitialFamily, ctl: StepControl, tols: ClassifierTolerances) -> 
 
 
 class _Run:
-    """One member of a batch: its chart, state, time, trial step, tracker
-    and records.  It starts in the graph chart; ``evolve_batch`` may hand
-    it off once, to the polar chart."""
+    """One member of a batch: its chart, state, time, next sample time,
+    tracker and records.  It starts in the graph chart; ``evolve_batch``
+    may hand it off once, to the polar chart."""
 
-    __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "dt", "tracker",
+    __slots__ = ("fam", "index", "chart", "s", "t", "t_next", "tracker",
                  "history", "samples", "diagnostics", "event")
 
-    def __init__(self, index, fam, graph, s, dt, history):
+    def __init__(self, index, fam, graph, s, history):
         self.index, self.fam, self.chart, self.s = index, fam, graph, s
-        self.t, self.dt, self.tracker, self.history = 0.0, dt, _EnergyTracker(), history
+        self.t, self.tracker, self.history = 0.0, _EnergyTracker(), history
         self.samples = 0
         self.diagnostics, self.event = [], None
 
@@ -1229,10 +1221,12 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     steps, energy tracker and event.
     The graph-chart members step as one ``(k, n)`` state in one
     ``_advance`` call, which samples each at its sample times, to their
-    events or handoffs; then the polar-chart ones, in a second call.  A
-    member that ``_advance`` stops as 'steep' (at a sample time or between
-    two) is handed off here, the one place a run changes chart, and takes
-    its next sample in the polar chart.
+    events or handoffs; then the polar-chart ones, in a second call.
+    Each call starts its members' trial steps at ``ctl.dt`` and returns
+    their states, times and statuses.  A member that ``_advance`` stops
+    as 'steep' (at a sample time or between two) is handed off here, the
+    one place a run changes chart, and takes its next sample in the polar
+    chart.
     """
     fams = list(fams)
     if not fams:
@@ -1244,10 +1238,7 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     polar = _PolarChart(params.dtheta, A, params.a, params)
     horizon = min(ctl.t_max, tols.t_max)
 
-    runs = [
-        _Run(i, fam, graph, initial_curve(fam).u.copy(), ctl.dt, history)
-        for i, fam in enumerate(fams)
-    ]
+    runs = [_Run(i, fam, graph, initial_curve(fam).u.copy(), history) for i, fam in enumerate(fams)]
 
     def sample(i, s, t):
         """Sample member i of ``group`` at state s and time t; return its next
@@ -1262,14 +1253,13 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
     for chart in (graph, polar):
         group = [run for run in runs if run.event is None and run.chart is chart]
         if group:
-            S, dts = np.array([run.s for run in group]), [run.dt for run in group]
+            S = np.array([run.s for run in group])
             t, status = _advance(
                 S, chart, [run.t for run in group], [run.t_next for run in group], ctl,
-                [run.tracker for run in group] if history else None,
-                dts, sample,
+                [run.tracker for run in group] if history else None, sample,
             )
-            for run, s, t_run, dt, st in zip(group, S, t, dts, status):
-                run.s, run.t, run.dt = s, t_run, dt
+            for run, s, t_run, st in zip(group, S, t, status):
+                run.s, run.t = s, t_run
                 if st == "steep":
                     # hand off before the graph representation fails
                     try:
@@ -1277,7 +1267,7 @@ def evolve_batch(fams, ctl: StepControl, tols: ClassifierTolerances, history: bo
                     except ValueError:
                         st = "blown"
                     else:
-                        run.chart, run.dt = polar, ctl.dt
+                        run.chart = polar
                         run.tracker.reset()
                 if st == "blown":
                     run.event = TerminationEvent(EventKind.BLOWUP, t_run, f"in {chart.name} chart")

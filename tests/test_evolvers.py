@@ -307,6 +307,30 @@ def test_explicit_rows_take_their_own_stage_counts(monkeypatch, params_coarse):
         assert tracker.max_rise == trackers[i].max_rise
 
 
+@pytest.mark.parametrize("chart", ["graph", "polar"])
+def test_advance_leaves_its_chart_as_it_found_it(chart):
+    # a chart holds what the flow needs, not per-call state: a tracked
+    # two-row batch whose rows end at different times, so that it packs,
+    # neither adds nor rebinds an attribute of its chart
+    p = ProblemParams(A=1.0, a=0.5, grid_n=41)
+    ctl = StepControl.for_params(p, scheme="semi_implicit")
+    if chart == "graph":
+        base, c = gamma_lower(p).u, evolvers._GraphChart(p.dx, p.A, p)
+    else:
+        base, c = gamma_lower_polar(p).rho, evolvers._PolarChart(p.dtheta, p.A, p.a, p)
+    bump = 1e-2 * np.sin(np.pi * np.arange(p.grid_n) / (p.grid_n - 1))
+    S = base + bump * np.array([[1.0], [2.0]])
+    before = dict(vars(c))
+    trackers = [evolvers._EnergyTracker() for _ in range(2)]
+    t_end = [ctl.sample_interval, 4 * ctl.sample_interval]
+    t, status = evolvers._advance(S, c, [0.0, 0.0], t_end, ctl, trackers)
+    assert status == ["ok", "ok"] and t == t_end
+    assert all(np.isfinite(tracker.max_rise) for tracker in trackers)
+    after = vars(c)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
 def _banded_reference_solve(r, b):
     # the semi-implicit system in banded storage, solved by scipy's solve_banded
     m = len(r)
