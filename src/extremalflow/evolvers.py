@@ -41,7 +41,9 @@ reject a step while the others accept theirs.  A row that reaches its
 end is sampled there, in the loop, and goes on to its next end or leaves
 the batch; the batch is then packed to the rows still stepping, so every
 numpy call is shared by all members in step, but for the stages of an
-explicit super-step, which each row takes by itself.
+explicit super-step, which each row takes by itself: a stage is two small
+matrix products (numpy's BLAS), one for the stencil and one for the RKL2
+recurrence, around the chart's M and F.
 Each accepted step's energy E = L - A*S is bitwise ``analysis.energy``
 of the points the chart's ``sample`` returns, evaluated per chunk: the
 stepped states are copied into a buffer of ``ENERGY_CHUNK`` steps, one
@@ -96,6 +98,7 @@ from importlib.util import find_spec, module_from_spec, spec_from_loader
 from math import inf
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis import (
     Unresolvable,
@@ -175,20 +178,27 @@ _HALF, _ONE, _TWO, _THREE = np.array(0.5), np.array(1.0), np.array(2.0), np.arra
 
 def _rkl_coefficients(s_max):
     """The RKL2 recursion up to ``s_max`` stages (Meyer, Balsara and Aslam
-    2014, J. Comput. Phys. 257:594, section 3): for each stage j >= 2 the
-    0-d arrays mu_j, nu_j, 1 - mu_j - nu_j and a_(j-1) mu_j, none of which
-    depends on the stage count s, and the span (s^2 + s - 2) / 4 of s
-    stages, in the step one stage may take, for s = 0 .. s_max (an
-    increasing list).
+    2014, J. Comput. Phys. 257:594, section 3) as an (s_max + 1, 6) table,
+    and the span (s^2 + s - 2) / 4 of s stages, in the step one stage may
+    take, for s = 0 .. s_max (an increasing list).
+
+    Row j >= 2 weighs the rows of ``_super_step``'s stage buffer, the two
+    stage slots, Y0, lap / M, F and w1 tau rhs(Y0), into stage j:
+    Y_j = mu_j Y_(j-1) + nu_j Y_(j-2) + (1 - mu_j - nu_j) Y0
+          + mu_j w1 tau (lap / M + F) - a_(j-1) mu_j w1 tau rhs(Y0).
+    Stage j is written to slot j % 2, over Y_(j-2), so mu_j sits in column
+    (j - 1) % 2 and nu_j in column j % 2; the columns of lap / M and F hold
+    mu_j, which the step scales by its w1 tau.  No entry depends on the
+    stage count s; rows 0 and 1 are zero.
     """
     b = [1 / 3] * 3 + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(3, s_max + 1)]
-    stages = [None, None]
+    table = np.zeros((s_max + 1, 6))
     for j in range(2, s_max + 1):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
-        coefficients = mu, nu, 1.0 - mu - nu, (1.0 - b[j - 1]) * mu
-        stages.append(tuple(np.array(v) for v in coefficients))
-    return stages, [(s * s + s - 2) / 4 for s in range(s_max + 1)]
+        table[j, (j - 1) % 2], table[j, j % 2] = mu, nu
+        table[j, 2:] = 1.0 - mu - nu, mu, mu, -(1.0 - b[j - 1]) * mu
+    return table, [(s * s + s - 2) / 4 for s in range(s_max + 1)]
 
 
 _RKL, _RKL_SPANS = _rkl_coefficients(RKL_STAGES)
@@ -501,6 +511,7 @@ class _GraphChart:
     def __init__(self, h, A, params=None):
         self.h, self.A, self.params = h, A, params
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
+        self.stencil = _stencil(self.inv2h, self.invh2)
         self.A0 = np.array(A)
         self.fill_cache = {}
         if params is not None:
@@ -602,6 +613,7 @@ class _PolarChart:
     def __init__(self, h, A, pin, params=None):
         self.h, self.A, self.pin, self.params = h, A, pin, params
         self.inv2h, self.invh2 = np.array(1.0 / (2.0 * h)), np.array(1.0 / h**2)
+        self.stencil = _stencil(self.inv2h, self.invh2)
         self.A0 = np.array(A)
         if params is not None:
             self.theta = params.theta_nodes()
@@ -662,16 +674,28 @@ class _PolarChart:
 # ---------------------------------------------------------------------------
 
 
-def _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs):
-    """Interior right-hand side lap / M + F of either chart, into ``rhs``.
+def _stencil(inv2h, invh2):
+    """The (2, 3) matrix of ``_flow_rhs``'s differences: three neighbouring
+    nodes to the first derivative and the Laplacian at the middle one."""
+    return np.array([[-1.0, 0.0, 1.0], [1.0, -2.0, 1.0]]) * [[inv2h], [invh2]]
+
+
+def _flow_terms(lo, inner, hi, chart, d1, M, F, work):
+    """First derivative into ``d1``, and the chart's M and F from it.
 
     ``lo``, ``inner`` and ``hi`` are the state without its last two, its
-    first and last, and its first two nodes; ``d1`` receives the first
-    derivative, from which the chart fills M and F.
+    first and last, and its first two nodes; ``work`` is a buffer of
+    their shape, for the chart.
     """
     np.subtract(hi, lo, out=d1)
     d1 *= chart.inv2h
-    chart.terms(inner, d1, M, F, rhs)  # rhs is free until the stencil below
+    chart.terms(inner, d1, M, F, work)
+
+
+def _flow_rhs(lo, inner, hi, chart, d1, M, F, rhs):
+    """Interior right-hand side lap / M + F of either chart, into ``rhs``,
+    with d1, M and F as ``_flow_terms`` fills them."""
+    _flow_terms(lo, inner, hi, chart, d1, M, F, rhs)  # rhs is free until the stencil below
     np.subtract(hi, inner, out=rhs)
     rhs -= inner
     rhs += lo
@@ -770,51 +794,59 @@ def _euler_substep(H, invh2, M, F, inner, R, B, pins, pin, work):
     _implicit_solve(R.reshape(-1), B.reshape(-1), *work)
 
 
-def _super_step(X, inner, chart, stages, wts, work):
+def _stage_work(n):
+    """Buffers of ``_super_step`` for states of n nodes, which each row
+    uses in turn: the (6, n) stage buffer Q (rows: the two stage slots
+    with the pinned values, Y0, lap / M, F and w1 tau rhs(Y0)), read-only
+    (3, n - 2) windows of the slots, a copy of the RKL2 table, the
+    stencil's (2, n - 2) output, M and w1 tau (0-d).
+    """
+    Q = np.empty((6, n))
+    windows = [sliding_window_view(y, 3).T for y in Q[:2]]
+    return Q, windows, _RKL.copy(), np.empty((2, n - 2)), np.empty(n - 2), np.empty(())
+
+
+def _super_step(X, inner, chart, stages, wts, rhs, work):
     """One RKL2 super-step of every row of the (k, n) batch X, in place.
 
     Row i takes ``stages[i]`` stages, 1 being the Euler step X += tau rhs,
     and ``wts[i]`` is its w1 * tau (tau itself for an Euler step), where
-    w1 = 4 / (s^2 + s - 2).  ``work`` = (Y, w, d1, M, F, rhs, D) are
-    buffers of ``_advance``: ``rhs`` holds the right-hand side of X on
-    entry, Y the two stage states of one row and w a 0-d array.  Each row
-    is stepped by itself, so a member of a batch steps exactly as it
-    would alone.  The stages alternate between Y[0] and Y[1], each
-    holding the pinned values of the row, and the last is copied back.
+    w1 = 4 / (s^2 + s - 2).  ``rhs`` holds the right-hand side of X and
+    ``work`` is ``_stage_work``'s.  Each row is stepped by itself, so a
+    member of a batch steps exactly as it would alone.
+
+    A stage j >= 2 is two small matrix products around the chart's
+    ``terms``: the chart's ``stencil`` times the window of the slot of
+    stage j - 1 gives its d1 and lap, from which the chart fills M and F
+    (F into the stage buffer Q), and lap / M goes to Q; row j of the RKL2
+    table (``_rkl_coefficients``) times the interior of Q is then stage
+    j, written to slot j % 2 over stage j - 2, which it weighs (numpy
+    routes an output that is also an input through a temporary).  The
+    table's columns of lap / M and F are scaled by w1 tau once per
+    super-step, and slot 0 starts as Y0, which stage 2 weighs there.
     """
-    Y, w, d1, M, F, L, D = work
-    lo, hi = X[:, :-2], X[:, 2:]
-    ya, yb = [(y[:, :-2], y[:, 1:-1], y[:, 2:]) for y in Y]
+    Q, windows, table, DL, M, w = work
+    Qi = Q[:, 1:-1]
+    slots, lap_M, F, D = (Qi[0], Qi[1]), Qi[3], Qi[4], Qi[5]
+    d1, lap, stencil, terms = DL[0], DL[1], chart.stencil, chart.terms
     for i, s in enumerate(stages):
-        r = slice(i, i + 1)
-        x, Li, w[()] = inner[r], L[r], wts[i]
-        Di = np.multiply(Li, w, out=D[r])  # w1 tau rhs(Y0)
+        x, w[()] = inner[i], wts[i]
+        np.multiply(rhs[i], w, out=D)  # w1 tau rhs(Y0)
         if s == 1:
-            x += Di
+            x += D
             continue
-        Y[:, :, 0], Y[:, :, -1] = X[i, 0], X[i, -1]
-        y = np.multiply(Di, _THIRD, out=ya[1])  # Y1 = Y0 + w1 tau rhs(Y0) / 3
+        Q[:3] = X[i]  # both slots and Y0, pins included
+        y = np.multiply(D, _THIRD, out=slots[1])  # Y1 = Y0 + w1 tau rhs(Y0) / 3
         y += x
-        scratch = d1[r], M[r], F[r], Li
-        prev2, prev, cur = (lo[r], x, hi[r]), ya, yb
+        np.multiply(_RKL[:, 3:5], w, out=table[:, 3:5])
+        a, b = 1, 0  # the slots of stage j - 1 and of stage j
         for j in range(2, s + 1):
-            # Y_j = mu_j (Y_(j-1) + w1 tau rhs(Y_(j-1))) + nu_j Y_(j-2)
-            #       + (1 - mu_j - nu_j) Y0 - a_(j-1) mu_j w1 tau rhs(Y0),
-            # written over Y_(j-2), or for j = 2 (Y0 is the row) over Y[1]
-            mu, nu, c, g = _RKL[j]
-            _flow_rhs(*prev, chart, *scratch)
-            Li *= w
-            Li += prev[1]
-            Li *= mu
-            y = cur[1]
-            np.multiply(prev2[1], nu, out=y)
-            y += Li
-            np.multiply(x, c, out=Li)
-            y += Li
-            np.multiply(Di, g, out=Li)
-            y -= Li
-            prev2, prev, cur = prev, cur, prev
-        x[...] = prev[1]
+            np.dot(stencil, windows[a], out=DL)
+            terms(slots[a], d1, M, F, lap_M)  # lap_M is free until the division
+            np.divide(lap, M, out=lap_M)
+            np.dot(table[j], Qi, out=slots[b])
+            a, b = b, a
+        x[...] = slots[a]
 
 
 def _advance(S, chart, t, t_end, ctl, trackers=None, sample=None):
@@ -882,7 +914,8 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, sample=None):
     row's time, end and trial step live in lists of the packed batch,
     packed with its rows; a row's time and status reach the returned
     lists, and its state ``S``, when it leaves.  Stepping buffers and pin
-    lists are built each time the batch is packed.
+    lists are built each time the batch is packed, and the explicit stage
+    buffers once per call.
     """
     K, n = S.shape
     m, pin = n - 2, chart.pin
@@ -899,6 +932,8 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, sample=None):
     trial = [ctl.dt] * len(rows)
     tracked = None if trackers is None else [trackers[row] for row in rows]
     X, k = (S if len(rows) == K else S[rows]), 0
+    if explicit:
+        work = _stage_work(n)  # the stage buffers, which the rows use in turn
     while rows:
         nk = len(rows)
         if tracked is not None:
@@ -907,10 +942,7 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, sample=None):
         lo, inner, hi = X[:, :-2], X[:, 1:-1], X[:, 2:]  # views: they follow in-place updates
         d1, M, F, rhs, W = np.empty((5, nk, m))
         if explicit:
-            # two stage states of one row (Y), and the rows' own stage
-            # counts and w1 * tau
-            work = np.empty((2, 1, n)), np.empty(()), d1, M, F, rhs, W
-            stages, wts = [1] * nk, [0.0] * nk
+            stages, wts = [1] * nk, [0.0] * nk  # the rows' own stage counts and w1 * tau
         else:
             # Hs: the substeps H, H/2 and H/3 of every row ([0], [1], [2]);
             # R and B, the coefficients and right-hand sides of the first
@@ -923,9 +955,9 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, sample=None):
             R, B = np.empty((2, 3, nk, m))
             Z = np.concatenate((X, X))
             zlo, zinner, zhi = Z[:, :-2], Z[:, 1:-1], Z[:, 2:]
-            d1z, Mz, G, rhsz = np.empty((4, 2 * nk, m))
+            d1z, Mz, G, Wz = np.empty((4, 2 * nk, m))
             z3, M3, G3 = zinner[nk:], Mz[nk:], G[nk:]
-            last = zlo[nk:], z3, zhi[nk:], chart, d1z[nk:], M3, G3, rhsz[nk:]
+            last = zlo[nk:], z3, zhi[nk:], chart, d1z[nk:], M3, G3, Wz[nk:]
             R2, N = R[:2].reshape(2 * nk, m), nk * m
             d, dl, du = np.empty(3 * N), np.empty(3 * N - 1), np.empty(3 * N - 1)
             first = d, dl, du, m
@@ -978,7 +1010,7 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, sample=None):
             k += 1
             done = rejected = None
             if explicit:
-                _super_step(X, inner, chart, stages, wts, work)
+                _super_step(X, inner, chart, stages, wts, rhs, work)
             else:
                 Hs[0, :, 0] = steps
                 np.multiply(Hs[0], _HALF, out=Hs[1])
@@ -986,11 +1018,11 @@ def _advance(S, chart, t, t_end, ctl, trackers=None, sample=None):
                 # the first substeps share M and F: B = Phi_H, Phi_H/2, Phi_H/3
                 _euler_substep(Hs, invh2, M, F, inner, R, B, pinned, pin, first)
                 zinner[...] = B[1:].reshape(2 * nk, m)
-                _flow_rhs(zlo, zinner, zhi, chart, d1z, Mz, G, rhsz)
+                _flow_terms(zlo, zinner, zhi, chart, d1z, Mz, G, Wz)
                 # G = Phi_H/2(Phi_H/2), Phi_H/3(Phi_H/3)
                 _euler_substep(H23, invh2, Mz, G, zinner, R2, G, pinned_second, pin, second)
                 z3[...] = G3
-                _flow_rhs(*last)
+                _flow_terms(*last)
                 # G3 = Phi_H/3 three times
                 _euler_substep(Hs[2], invh2, M3, G3, z3, R[2], G3, pinned_third, pin, third)
                 # Aitken-Neville on the harmonic sequence 1, 2, 3, in place:

@@ -59,9 +59,11 @@ def test_step_control_validation(params):
 
 
 def test_step_rule_sets_the_step_counts(monkeypatch, params, explicit, semi):
+    # Every right-hand side calls its chart's terms once, in _advance's loop,
+    # in a stage and in _flow_terms, so a spy on terms counts them.
     # An explicit super-step spans at most 232 Euler limits cfl * h^2 * min(M)
-    # (the span of RKL_STAGES = 30 stages); its s stages make s _flow_rhs
-    # passes and span (s^2 + s - 2) / 4 times 0.45 h^2 min(M).  The graph of
+    # (the span of RKL_STAGES = 30 stages); its s stages make s right-hand
+    # sides and span (s^2 + s - 2) / 4 times 0.45 h^2 min(M).  The graph of
     # the lower arc, whose apex has M = 1, has the limit cfl * dx^2: t = 0.01
     # is 2,000 limits (and was 2,000 Euler steps), 8 super-steps of 232
     # limits, 20 stages each, and one of 144 limits in 16 stages.  The
@@ -70,18 +72,21 @@ def test_step_rule_sets_the_step_counts(monkeypatch, params, explicit, semi):
     # sample_interval = 0.1: on the held equilibrium it grows 4x per step
     # from dt = 0.1 dx to that bound, 4 steps to t = 0.0425 and 50 more to
     # t = 5, whatever the order of the extrapolation.
-    passes, supers = [], []
-    flow_rhs, super_step = evolvers._flow_rhs, evolvers._super_step
+    passes, supers, super_step = [], [], evolvers._super_step
 
-    def spy(*args):
-        passes.append(None)
-        flow_rhs(*args)
+    def spying(terms):
+        def spy(*args):
+            passes.append(None)
+            terms(*args)
+
+        return spy
 
     def spy_super(X, inner, chart, stages, *args):
         supers.append(stages[0])
         super_step(X, inner, chart, stages, *args)
 
-    monkeypatch.setattr(evolvers, "_flow_rhs", spy)
+    for chart in (evolvers._GraphChart, evolvers._PolarChart):
+        monkeypatch.setattr(chart, "terms", spying(chart.terms))
     monkeypatch.setattr(evolvers, "_super_step", spy_super)
 
     def counts(advance, profile, ctl, t_end):
@@ -305,6 +310,67 @@ def test_explicit_rows_take_their_own_stage_counts(monkeypatch, params_coarse):
         (ti,), _ = evolvers._advance(alone, c, [0.0], t_end[i : i + 1], ctl, [tracker])
         assert ti == t[i] and alone[0].tobytes() == S[i].tobytes()
         assert tracker.max_rise == trackers[i].max_rise
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    start=st.sampled_from(["graph lower", "graph sigma 3", "polar lower", "polar upper"]),
+    cells=st.integers(min_value=20, max_value=100),
+    s=st.integers(min_value=2, max_value=23),
+    amplitude=st.floats(min_value=-0.01, max_value=0.01),
+    mode=st.integers(min_value=1, max_value=8),
+    fraction=st.floats(min_value=0.05, max_value=1.0),
+)
+def test_super_step_is_the_rkl2_recurrence(start, cells, s, amplitude, mode, fraction):
+    # one super-step of s stages against the three-term RKL2 recurrence of
+    # Meyer, Balsara and Aslam (2014), written out with _rhs per stage: this
+    # pins the stage table's parity layout and the product whose output is
+    # also an input.  The last stage's d1 and lap / M + F, left in the
+    # stage buffers, are _flow_rhs's of the same state: the stencil's two
+    # codings, the chart's matrix and _flow_rhs's differences, agree.
+    p = ProblemParams(A=1.0, a=0.5, grid_n=2 * cells + 1)  # grids 41 to 201
+    if start.startswith("graph"):
+        chart, q = evolvers._GraphChart(p.dx, p.A), (p.x_nodes() + p.a) / (2 * p.a)
+        y0 = gamma_lower(p) if start == "graph lower" else initial_curve(InitialFamily(p, sigma=3.0))
+        y0 = y0.u
+    else:
+        chart, q = evolvers._PolarChart(p.dtheta, p.A, p.a), p.theta_nodes() / np.pi
+        y0 = (gamma_lower_polar(p) if start == "polar lower" else gamma_upper(p)).rho
+    y0 = y0.copy()  # a nudge of the interior, pins kept
+    y0[1:-1] += amplitude * p.a * np.sin(mode * np.pi * q[1:-1])
+
+    def L(y):
+        return evolvers._rhs(y, chart)[0]
+
+    L0, M0 = evolvers._rhs(y0, chart)
+    tau = fraction * (s * s + s - 2) / 4 * 0.45 * chart.h**2 * np.min(M0)  # within the bound
+    w = 4 / (s * s + s - 2) * tau  # w1 tau
+    b = [1 / 3] * 3 + [(j * j + j - 2) / (2 * j * (j + 1)) for j in range(3, s + 1)]
+    Y = [y0, y0.copy()]
+    Y[1][1:-1] += b[1] * w * L0
+    for j in range(2, s + 1):
+        mu, nu = (2 * j - 1) / j * b[j] / b[j - 1], -(j - 1) / j * b[j] / b[j - 2]
+        y = y0.copy()
+        y[1:-1] = (
+            mu * Y[j - 1][1:-1] + nu * Y[j - 2][1:-1] + (1 - mu - nu) * y0[1:-1]
+            + mu * w * L(Y[j - 1]) - (1 - b[j - 1]) * mu * w * L0
+        )
+        Y.append(y)
+
+    X, work = y0[None].copy(), evolvers._stage_work(p.grid_n)
+    evolvers._super_step(X, X[:, 1:-1], chart, [s], [w], L0[None], work)
+    assert np.max(np.abs(X[0] - Y[s])) <= 1e-13 * np.max(np.abs(y0))
+    assert X[0, 0] == y0[0] and X[0, -1] == y0[-1]
+
+    Q, _, _, DL = work[:4]
+    last = Q[(s - 1) % 2]  # stage s - 1
+    d1 = (last[2:] - last[:-2]) * chart.inv2h
+    assert np.max(np.abs(DL[0] - d1)) <= 1e-12 * np.max(np.abs(d1))
+    # lap rounds to a few ulps of the products it sums, |s| / h^2, and
+    # lap / M of those over M: about 4e-13 of |lap / M| + |F| on grid 201
+    rhs, M = evolvers._rhs(last, chart)
+    products = np.max(np.abs(last)) * chart.invh2 / np.min(M)
+    assert np.max(np.abs(Q[3, 1:-1] + Q[4, 1:-1] - rhs)) <= 1e-14 * products
 
 
 @pytest.mark.parametrize("chart", ["graph", "polar"])
@@ -983,7 +1049,7 @@ def test_fixed_costs_scale_with_segments_not_samples(monkeypatch):
     # chart segments.  Each segment is one _advance call that samples its
     # row in place, and the energy tracker flushes once per ENERGY_CHUNK
     # buffered steps and once per segment at most, never once per sample
-    advance, track, flow_rhs = evolvers._advance, evolvers._track, evolvers._flow_rhs
+    advance, track, flow_terms = evolvers._advance, evolvers._track, evolvers._flow_terms
     segments, flushes, rhs_calls = [], [], []
 
     def spy_advance(S, chart, *args):
@@ -994,20 +1060,21 @@ def test_fixed_costs_scale_with_segments_not_samples(monkeypatch):
         flushes.append(None)
         track(*args)
 
-    def spy_flow_rhs(*args):
+    def spy_flow_terms(*args):
         rhs_calls.append(None)
-        flow_rhs(*args)
+        flow_terms(*args)
 
     monkeypatch.setattr(evolvers, "_advance", spy_advance)
     monkeypatch.setattr(evolvers, "_track", spy_track)
-    monkeypatch.setattr(evolvers, "_flow_rhs", spy_flow_rhs)
+    monkeypatch.setattr(evolvers, "_flow_terms", spy_flow_terms)
     orbit = replace(_BATCH_TOLS, converge=0.0)
     traj = evolve(InitialFamily(_BATCH_PARAMS, sigma=3.2767), _BATCH_CTL, orbit)
     samples = len(traj.diagnostics)
     assert traj.event.kind is EventKind.HORIZON_REACHED and samples == 61
     assert segments == ["graph", "polar"]
-    # _flow_rhs runs three times per semi-implicit step, once per sample (its
-    # normal velocity) and once before the guard stops the graph segment
+    # _flow_terms runs three times per semi-implicit step (once in each
+    # _flow_rhs), once per sample (its normal velocity) and once before the
+    # guard stops the graph segment
     steps, rest = divmod(len(rhs_calls) - samples - 1, 3)
     assert rest == 0
     assert len(flushes) <= -(-steps // evolvers.ENERGY_CHUNK) + len(segments)
